@@ -88,18 +88,8 @@ func (a *Agent) SystemImage() (map[string][]byte, error) {
 			return nil, fmt.Errorf("agent %s: reserved SRO key %q", a.ID, k)
 		}
 	}
-	cur, err := wire.Encode(a.Cursor)
-	if err != nil {
-		return nil, err
-	}
-	itin, err := wire.Encode(a.Itin)
-	if err != nil {
-		return nil, err
-	}
-	img[sysKeyCursor] = cur
-	img[sysKeyItin] = itin
-	// The step counter takes the tagged-scalar fast path; RestoreSystemImage
-	// still decodes gob-encoded counters from older savepoint images.
+	img[sysKeyCursor] = encodeCursor(a.Cursor)
+	img[sysKeyItin] = encodeItinerary(a.Itin)
 	img[sysKeyStepSeq] = wire.EncodeInt64(int64(a.StepSeq))
 	return img, nil
 }
@@ -116,11 +106,7 @@ func (a *Agent) SystemImageWithWRO() (map[string][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	wro, err := wire.Encode(a.WRO.Snapshot())
-	if err != nil {
-		return nil, err
-	}
-	img[sysKeyWRO] = wro
+	img[sysKeyWRO] = encodeImage(a.WRO.Snapshot())
 	return img, nil
 }
 
@@ -131,32 +117,27 @@ func (a *Agent) RestoreSystemImage(img map[string][]byte) error {
 	if !ok {
 		return fmt.Errorf("agent %s: savepoint image lacks system state", a.ID)
 	}
-	// Decode into fresh values: gob omits zero-valued fields at encode
-	// time, so decoding into the live (non-zero) fields would merge
-	// instead of replace.
-	var cursor itinerary.Cursor
-	if err := wire.Decode(raw, &cursor); err != nil {
+	cursor, err := decodeCursor(raw)
+	if err != nil {
 		return err
 	}
-	var itin itinerary.Itinerary
-	if err := wire.Decode(img[sysKeyItin], &itin); err != nil {
+	itin, err := decodeItinerary(img[sysKeyItin])
+	if err != nil {
 		return err
 	}
-	var seq int
-	if v, ok := wire.DecodeInt64(img[sysKeyStepSeq]); ok {
-		seq = int(v)
-	} else if err := wire.Decode(img[sysKeyStepSeq], &seq); err != nil {
-		return err
+	seq, ok := wire.DecodeInt64(img[sysKeyStepSeq])
+	if !ok {
+		return fmt.Errorf("agent %s: savepoint image: %w: step counter", a.ID, wire.ErrCorrupt)
 	}
 	a.Cursor = cursor
-	a.Itin = &itin
-	a.StepSeq = seq
+	a.Itin = itin
+	a.StepSeq = int(seq)
 	if wroRaw, ok := img[sysKeyWRO]; ok {
 		// Saga-baseline image (SystemImageWithWRO): restore the WROs
 		// from the before-image — deliberately wrong per §4.1, kept for
 		// the S16b demonstration.
-		var wroImg map[string][]byte
-		if err := wire.Decode(wroRaw, &wroImg); err != nil {
+		wroImg, err := decodeImage(wroRaw)
+		if err != nil {
 			return err
 		}
 		a.WRO.Restore(wroImg)
@@ -172,23 +153,18 @@ func (a *Agent) RestoreSystemImage(img map[string][]byte) error {
 	return nil
 }
 
-// Encode serializes the agent (gob).
-func (a *Agent) Encode() ([]byte, error) { return wire.Encode(a) }
+// Encode serializes the agent in its binary form (codec.go).
+func (a *Agent) Encode() ([]byte, error) { return a.AppendTo(nil), nil }
 
 // Decode deserializes an agent produced by Encode.
 func Decode(data []byte) (*Agent, error) {
 	var a Agent
-	if err := wire.Decode(data, &a); err != nil {
+	rest, err := a.DecodeFrom(data)
+	if err != nil {
 		return nil, err
 	}
-	if a.SRO == nil {
-		a.SRO = NewSpace()
-	}
-	if a.WRO == nil {
-		a.WRO = NewSpace()
-	}
-	if a.Log == nil {
-		a.Log = &core.Log{}
+	if err := wire.Done(rest); err != nil {
+		return nil, err
 	}
 	return &a, nil
 }

@@ -82,7 +82,8 @@ type CompFunc func(ctx CompContext) error
 // when executed for the given agent at the given itinerary step. The
 // scheduler uses the returned names as conflict keys for dispatch
 // ordering — purely advisory, never enforcement: a step may still touch
-// resources the hint missed (2PL arbitrates the truth).
+// resources the hint missed (2PL arbitrates the truth). A hint only reads
+// the agent: the step that follows runs on the same decoded agent.
 type StepHint func(a *Agent, step itinerary.Step) []string
 
 // StaticHint is a StepHint for methods with a fixed resource set.

@@ -150,6 +150,43 @@ func bankTotals(t *testing.T, cl *cluster.Cluster, nBanks int) (pool, sink int64
 	return pool, sink
 }
 
+// TestContainerDecodedOncePerStep: on a fault-free forward run the node
+// runtimes decode each claimed container once — the scheduler's conflict
+// hint decodes it and the step transaction reuses that decode.
+func TestContainerDecodedOncePerStep(t *testing.T) {
+	const (
+		agents = 8
+		steps  = 4
+	)
+	cl := transferCluster(t, 2, agents, 100) // one bank per agent: no conflicts
+	var chans []<-chan cluster.Result
+	for i := 0; i < agents; i++ {
+		a, entered := transferAgent(t, fmt.Sprintf("once%02d", i), fmt.Sprintf("bank%d", i), steps)
+		ch, err := cl.Launch(a, entered, "n0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		chans = append(chans, ch)
+	}
+	for _, ch := range chans {
+		select {
+		case res := <-ch:
+			if res.Failed {
+				t.Fatalf("agent %s failed: %s", res.AgentID, res.Reason)
+			}
+		case <-time.After(testTimeout):
+			t.Fatal("timed out waiting for agents")
+		}
+	}
+	s := cl.Counters().Snapshot()
+	if s.StepTxns != agents*steps || s.SchedRetries != 0 {
+		t.Fatalf("run not fault-free: %d step txns (want %d), %d retries", s.StepTxns, agents*steps, s.SchedRetries)
+	}
+	if perStep := float64(s.ContainerDecodes) / float64(s.StepTxns); perStep > 1.0 {
+		t.Errorf("%d container decodes for %d committed steps (%.2f per step, want <= 1)", s.ContainerDecodes, s.StepTxns, perStep)
+	}
+}
+
 // TestConcurrentWorkersSerializable runs 8 workers over 32 agents that
 // all hammer the same two bank resources. Strict 2PL must serialize the
 // concurrent step transactions: money is conserved, every agent

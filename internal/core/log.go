@@ -69,29 +69,22 @@ const (
 )
 
 // Params carries the parameters of a compensating operation as named,
-// gob-encoded values.
+// encoded values (see Set).
 type Params map[string][]byte
 
 // NewParams returns an empty parameter set.
 func NewParams() Params { return make(Params) }
 
-// Set stores v under key and returns the receiver for chaining. The
-// common scalar kinds (int64/int, string, []byte) take a zero-gob fast
-// path under stable wire tags (see wire.Tagged); every other type is
-// gob-encoded as before. Both formats decode through Get.
+// Set stores v under key and returns the receiver for chaining. Values
+// are encoded by wire.EncodeValue: the common scalar kinds (int64/int,
+// string, []byte) take the zero-gob tagged fast path, other types are
+// gob-encoded.
 func (p Params) Set(key string, v any) Params {
-	switch x := v.(type) {
-	case int64:
-		p[key] = wire.EncodeInt64(x)
-	case int:
-		p[key] = wire.EncodeInt64(int64(x))
-	case string:
-		p[key] = wire.EncodeString(x)
-	case []byte:
-		p[key] = wire.EncodeBytes(x)
-	default:
-		p[key] = wire.MustEncode(v)
+	data, err := wire.EncodeValue(v)
+	if err != nil {
+		panic(err)
 	}
+	p[key] = data
 	return p
 }
 
@@ -101,32 +94,10 @@ func (p Params) Get(key string, out any) error {
 	if !ok {
 		return fmt.Errorf("core: missing parameter %q", key)
 	}
-	if !wire.Tagged(raw) {
-		return wire.Decode(raw, out)
+	if err := wire.DecodeValue(raw, out); err != nil {
+		return fmt.Errorf("core: parameter %q: %w", key, err)
 	}
-	switch o := out.(type) {
-	case *int64:
-		if v, ok := wire.DecodeInt64(raw); ok {
-			*o = v
-			return nil
-		}
-	case *int:
-		if v, ok := wire.DecodeInt64(raw); ok {
-			*o = int(v)
-			return nil
-		}
-	case *string:
-		if v, ok := wire.DecodeString(raw); ok {
-			*o = v
-			return nil
-		}
-	case *[]byte:
-		if v, ok := wire.DecodeBytes(raw); ok {
-			*o = v
-			return nil
-		}
-	}
-	return fmt.Errorf("core: parameter %q: cannot decode tagged scalar into %T", key, out)
+	return nil
 }
 
 // Entry is one rollback-log entry.
@@ -200,17 +171,6 @@ func (*EndStepEntry) entryName() string   { return "EOS" }
 // EntryName returns the short display name of e (SP/BOS/OE/EOS).
 func EntryName(e Entry) string { return e.entryName() }
 
-// registerTypes makes all entry types known to gob under stable names.
-var _ = registerTypes()
-
-func registerTypes() struct{} {
-	wire.RegisterName("core.SP", &SavepointEntry{})
-	wire.RegisterName("core.BOS", &BeginStepEntry{})
-	wire.RegisterName("core.OE", &OpEntry{})
-	wire.RegisterName("core.EOS", &EndStepEntry{})
-	return struct{}{}
-}
-
 // Errors of the log layer.
 var (
 	ErrEmptyLog         = errors.New("core: rollback log is empty")
@@ -220,20 +180,17 @@ var (
 
 // Log is the agent rollback log. It is a stack: entries are appended at
 // step commit and popped (from the end) during rollback. The zero value is
-// an empty log; Log is gob-serializable as part of the agent container
-// (the unexported size-accounting fields are volatile and rebuilt lazily
-// after decode).
+// an empty log; it serializes inline in the agent container (codec.go),
+// and the unexported size-accounting fields are volatile and rebuilt
+// lazily after decode.
 type Log struct {
 	Entries []Entry
 
-	// Incremental encoded-size accounting. sizes memoizes the encoded
-	// size of each measured entry (a prefix of Entries), produced through
-	// one persistent sizing session so gob type descriptors are charged
-	// once per stream, like one container encode. Pop subtracts the
-	// popped entry's memoized size; structural edits elsewhere in the log
-	// (RemoveSavepoint) invalidate the whole memo. Entries must not be
-	// mutated after they are appended, or the memo goes stale.
-	sizer   *wire.SizingEncoder
+	// Incremental encoded-size accounting. sizes memoizes the binary
+	// size of each measured entry (a prefix of Entries). Pop subtracts
+	// the popped entry's memoized size; structural edits elsewhere in
+	// the log (RemoveSavepoint) invalidate the whole memo. Entries must
+	// not be mutated after they are appended, or the memo goes stale.
 	sizes   []int
 	sizeSum int
 }
@@ -280,38 +237,33 @@ func (l *Log) Clear() {
 // re-measures the whole log. Called after structural edits that are not
 // stack pushes/pops.
 func (l *Log) invalidateSizes() {
-	l.sizer = nil
 	l.sizes = l.sizes[:0]
 	l.sizeSum = 0
 }
 
-// EncodedSize returns the serialized size of the log in bytes, used by the
-// log-size experiments (F6, T-log) and the per-step log metrics. The size
-// is tracked incrementally: each call measures only the entries appended
-// since the last call, so per-step accounting is O(entries appended that
-// step) amortized instead of re-encoding the whole log. The reported value
-// is the size of the entries as one encode stream; it can differ from a
-// full container encode by a few bytes of framing when entries carrying
-// gob type descriptors are popped.
-func (l *Log) EncodedSize() (int, error) {
+// EncodedSize returns the bytes the log adds to its agent container's
+// encoding — exactly len(container) minus the length of the same
+// container with an empty log, so an empty log has size 0. It is used by
+// the log-size experiments (F6, T-log) and the per-step log metrics. The
+// size is tracked incrementally: each call measures only the entries
+// appended since the last call, so per-step accounting is O(entries
+// appended that step) amortized instead of re-encoding the whole log.
+func (l *Log) EncodedSize() int {
 	if len(l.Entries) == 0 {
-		return 0, nil
+		return 0
 	}
-	if l.sizer == nil {
-		l.sizes = l.sizes[:0]
-		l.sizeSum = 0
-		l.sizer = wire.NewSizingEncoder()
-	}
-	for i := len(l.sizes); i < len(l.Entries); i++ {
-		n, err := l.sizer.Size(l.Entries[i])
-		if err != nil {
-			l.invalidateSizes()
-			return 0, err
+	if len(l.sizes) < len(l.Entries) {
+		scratch := sizeScratch.Get().(*[]byte)
+		for i := len(l.sizes); i < len(l.Entries); i++ {
+			*scratch = appendEntry((*scratch)[:0], l.Entries[i])
+			l.sizes = append(l.sizes, len(*scratch))
+			l.sizeSum += len(*scratch)
 		}
-		l.sizes = append(l.sizes, n)
-		l.sizeSum += n
+		sizeScratch.Put(scratch)
 	}
-	return l.sizeSum, nil
+	// The entry count prefix grows past its one byte (the empty log's
+	// whole encoding) at 128 entries.
+	return l.sizeSum + uvarintLen(uint64(len(l.Entries))) - 1
 }
 
 // savepointIndex returns the index of the savepoint with the given ID, or

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-
-	"repro/internal/wire"
 )
 
 func img(pairs ...string) map[string][]byte {
@@ -279,15 +277,14 @@ func TestLastIsSavepointAndSavepoints(t *testing.T) {
 
 func TestLogClearAndEncodedSize(t *testing.T) {
 	var l Log
-	if sz, err := l.EncodedSize(); err != nil || sz != 0 {
-		t.Errorf("empty log size = %d, %v", sz, err)
+	if sz := l.EncodedSize(); sz != 0 {
+		t.Errorf("empty log size = %d", sz)
 	}
 	if err := l.AppendSavepoint("a", img("k", strings.Repeat("v", 1000)), StateLogging, false); err != nil {
 		t.Fatal(err)
 	}
-	sz1, err := l.EncodedSize()
-	if err != nil || sz1 < 1000 {
-		t.Errorf("size = %d, %v; want >= 1000", sz1, err)
+	if sz1 := l.EncodedSize(); sz1 < 1000 {
+		t.Errorf("size = %d; want >= 1000", sz1)
 	}
 	l.Clear()
 	if l.Len() != 0 {
@@ -295,7 +292,7 @@ func TestLogClearAndEncodedSize(t *testing.T) {
 	}
 }
 
-func TestLogGobRoundTrip(t *testing.T) {
+func TestLogBinaryRoundTrip(t *testing.T) {
 	var l Log
 	if err := l.AppendSavepoint("sp", img("a", "1"), StateLogging, true); err != nil {
 		t.Fatal(err)
@@ -307,13 +304,11 @@ func TestLogGobRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	data, err := wire.Encode(&l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := l.AppendTo(nil)
 	var got Log
-	if err := wire.Decode(data, &got); err != nil {
-		t.Fatal(err)
+	rest, err := got.DecodeFrom(data)
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("decode: rest %d, %v", len(rest), err)
 	}
 	if got.String() != l.String() {
 		t.Errorf("roundtrip:\n got %s\nwant %s", got.String(), l.String())

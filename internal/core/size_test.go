@@ -11,11 +11,7 @@ import (
 func rebuildSize(t *testing.T, l *Log) int {
 	t.Helper()
 	fresh := &Log{Entries: append([]Entry(nil), l.Entries...)}
-	sz, err := fresh.EncodedSize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sz
+	return fresh.EncodedSize()
 }
 
 func sampleStep(l *Log, seq int) {
@@ -35,10 +31,7 @@ func TestEncodedSizeIncrementalMatchesRebuild(t *testing.T) {
 	}
 	for s := 0; s < 8; s++ {
 		sampleStep(&l, s)
-		got, err := l.EncodedSize()
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := l.EncodedSize()
 		if want := rebuildSize(t, &l); got != want {
 			t.Fatalf("after step %d: incremental %d != rebuilt %d", s, got, want)
 		}
@@ -52,32 +45,19 @@ func TestEncodedSizePopSubtracts(t *testing.T) {
 	}
 	sampleStep(&l, 0)
 	sampleStep(&l, 1)
-	full, err := l.EncodedSize()
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := l.EncodedSize()
 	for l.Len() > 4 { // pop step 1's entries
 		if _, err := l.Pop(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	popped, err := l.EncodedSize()
-	if err != nil {
-		t.Fatal(err)
-	}
+	popped := l.EncodedSize()
 	if popped >= full {
 		t.Errorf("size after pop %d not smaller than %d", popped, full)
 	}
-	// After pops, memoized sizes may differ from a rebuild by the gob
-	// type descriptors the popped entries carried; the drift must stay
-	// within that framing overhead.
-	want := rebuildSize(t, &l)
-	diff := popped - want
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > 256 {
-		t.Errorf("size after pop %d drifts %dB from rebuilt %d", popped, diff, want)
+	// Binary entries are self-contained, so the memo after pops is exact.
+	if want := rebuildSize(t, &l); popped != want {
+		t.Errorf("size after pop %d != rebuilt %d", popped, want)
 	}
 }
 
@@ -91,16 +71,11 @@ func TestEncodedSizeInvalidatedByRemoveSavepoint(t *testing.T) {
 	if err := l.AppendSavepoint("b", img, TransitionLogging, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.EncodedSize(); err != nil {
-		t.Fatal(err)
-	}
+	l.EncodedSize()
 	if err := l.RemoveSavepoint("a"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := l.EncodedSize()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := l.EncodedSize()
 	if want := rebuildSize(t, &l); got != want {
 		t.Errorf("after RemoveSavepoint: %d != rebuilt %d (memo not invalidated?)", got, want)
 	}
@@ -113,14 +88,8 @@ func TestEncodedSizeAllocsAmortized(t *testing.T) {
 	for s := 0; s < 64; s++ {
 		sampleStep(&l, s)
 	}
-	if _, err := l.EncodedSize(); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := l.EncodedSize(); err != nil {
-			t.Fatal(err)
-		}
-	})
+	l.EncodedSize()
+	allocs := testing.AllocsPerRun(100, func() { l.EncodedSize() })
 	if allocs > 0 {
 		t.Errorf("EncodedSize on unchanged log allocs/op = %.1f, want 0", allocs)
 	}
@@ -213,13 +182,37 @@ func TestEncodedSizeGrowsPerEntry(t *testing.T) {
 	prev := 0
 	for s := 0; s < 16; s++ {
 		sampleStep(&l, s)
-		sz, err := l.EncodedSize()
-		if err != nil {
-			t.Fatal(err)
-		}
+		sz := l.EncodedSize()
 		if sz <= prev {
 			t.Fatalf("size %d at step %d did not grow from %d", sz, s, prev)
 		}
 		prev = sz
+	}
+}
+
+// TestEncodedSizeIsEncodingGrowth: EncodedSize is exactly what the log
+// adds to an encoding over an empty log, across the entry count's
+// one-byte boundary at 128 entries and after pops.
+func TestEncodedSizeIsEncodingGrowth(t *testing.T) {
+	empty := len((&Log{}).AppendTo(nil))
+	var l Log
+	if err := l.AppendSavepoint("sp", map[string][]byte{"v": make([]byte, 300)}, TransitionLogging, true); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		if got, want := l.EncodedSize(), len(l.AppendTo(nil))-empty; got != want {
+			t.Fatalf("%s (%d entries): EncodedSize %d, encoding grew by %d", when, l.Len(), got, want)
+		}
+	}
+	for s := 0; s < 50; s++ {
+		sampleStep(&l, s)
+		check("append")
+	}
+	for l.Len() > 100 {
+		if _, err := l.Pop(); err != nil {
+			t.Fatal(err)
+		}
+		check("pop")
 	}
 }

@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/membership"
 	"repro/internal/stable"
 )
 
@@ -269,10 +271,28 @@ func TestThroughputReplicated(t *testing.T) {
 // zero-lost/zero-duplicated-steps assertion; here we additionally require
 // that the joiner actually received load via transactional migrations.
 func TestThroughputJoinMidRun(t *testing.T) {
-	res, err := RunThroughput(ThroughputConfig{
-		Nodes: 4, Workers: 2, Agents: 24, Steps: 6, Banks: 2,
+	// Precondition, checked rather than left to luck: the joiner w4 owns
+	// every step after each agent's first on the five-member ring, so
+	// every agent still queued past its first step when w4 joins is w4's
+	// to adopt. (The join lands after 25 ms, well before the ~70 ms of
+	// step work is done.)
+	const agents, steps = 24, 6
+	ring := membership.NewRing([]string{"w0", "w1", "w2", "w3", "w4"}, 0)
+	var ids []string
+	for i := 0; len(ids) < agents; i++ {
+		id := fmt.Sprintf("join%06d", i)
+		owned := true
+		for s := 1; s < steps && owned; s++ {
+			owned = ring.Owner(fmt.Sprintf("%s-s%d", id, s)) == "w4"
+		}
+		if owned {
+			ids = append(ids, id)
+		}
+	}
+	res, err := runThroughput(ThroughputConfig{
+		Nodes: 4, Workers: 2, Agents: agents, Steps: steps, Banks: 2,
 		StepWork: 4 * time.Millisecond, Ring: true, JoinMidRun: true,
-	})
+	}, ids)
 	if err != nil {
 		t.Fatal(err)
 	}

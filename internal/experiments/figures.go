@@ -75,10 +75,7 @@ func Fig2() (*Table, error) {
 			}
 			l.Append(&core.EndStepEntry{Node: "n", Seq: s})
 		}
-		size, err := l.EncodedSize()
-		if err != nil {
-			return nil, err
-		}
+		size := l.EncodedSize()
 		t.AddRow(p, steps, l.Len(), float64(size)/1024, float64(size)/float64(l.Len()))
 	}
 	// Layout check: the exact Figure-2 sequence.
@@ -304,11 +301,7 @@ func TLog() (*Table, error) {
 					return nil, errors.New("tlog: reconstruction mismatch")
 				}
 			}
-			size, err := l.EncodedSize()
-			if err != nil {
-				return nil, err
-			}
-			sizes[mode] = size
+			sizes[mode] = l.EncodedSize()
 		}
 		state := float64(sizes[core.StateLogging]) / 1024
 		trans := float64(sizes[core.TransitionLogging]) / 1024

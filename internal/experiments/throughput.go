@@ -280,7 +280,16 @@ func tputItinerary(id string, start int, cfg ThroughputConfig) (*itinerary.Itine
 // completion, verifies the deposit invariant and reports throughput and
 // step-latency percentiles.
 func RunThroughput(cfg ThroughputConfig) (ThroughputResult, error) {
+	return runThroughput(cfg, nil)
+}
+
+// runThroughput is RunThroughput with the agents named by ids (one per
+// agent) instead of load0000, load0001, …
+func runThroughput(cfg ThroughputConfig, ids []string) (ThroughputResult, error) {
 	cfg.fillDefaults()
+	if ids != nil && len(ids) != cfg.Agents {
+		return ThroughputResult{}, fmt.Errorf("throughput: %d agent IDs for %d agents", len(ids), cfg.Agents)
+	}
 	if cfg.JoinMidRun && !cfg.Ring {
 		return ThroughputResult{}, errors.New("throughput: JoinMidRun needs Ring placement (a joiner owns nothing under static wiring)")
 	}
@@ -307,6 +316,9 @@ func RunThroughput(cfg ThroughputConfig) (ThroughputResult, error) {
 	launches := make([]launch, cfg.Agents)
 	for i := 0; i < cfg.Agents; i++ {
 		id := fmt.Sprintf("load%04d", i)
+		if ids != nil {
+			id = ids[i]
+		}
 		start := i % cfg.Nodes
 		it, err := tputItinerary(id, start, cfg)
 		if err != nil {

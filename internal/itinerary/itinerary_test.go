@@ -4,8 +4,6 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-
-	"repro/internal/wire"
 )
 
 // figure6 builds the paper's sample itinerary (Figure 6):
@@ -214,15 +212,12 @@ func TestAdvanceOnDone(t *testing.T) {
 	}
 }
 
-func TestGobRoundTrip(t *testing.T) {
+func TestBinaryRoundTrip(t *testing.T) {
 	it := figure6(t)
-	data, err := wire.Encode(it)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var got Itinerary
-	if err := wire.Decode(data, &got); err != nil {
-		t.Fatal(err)
+	rest, err := got.DecodeFrom(it.AppendTo(nil))
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("decode: rest %d, %v", len(rest), err)
 	}
 	c, entered, err := got.Start()
 	if err != nil {

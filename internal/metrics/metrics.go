@@ -34,6 +34,7 @@ type Counters struct {
 	logBytesPeak      atomic.Int64
 	stableWrites      atomic.Int64
 	stableBytes       atomic.Int64
+	containerDecodes  atomic.Int64
 
 	// Scheduler (internal/sched) instrumentation.
 	schedClaims     atomic.Int64
@@ -120,6 +121,7 @@ type Snapshot struct {
 	LogBytesPeak      int64 // largest encoded rollback log observed
 	StableWrites      int64 // writes to stable storage
 	StableBytes       int64 // bytes written to stable storage
+	ContainerDecodes  int64 // agent containers decoded by node runtimes
 
 	SchedClaims          int64 // queue entries claimed by scheduler workers
 	SchedClaimConflicts  int64 // dispatches reordered past a conflicting task
@@ -182,6 +184,10 @@ func (c *Counters) IncAgentTransfer(n int64) {
 	c.agentTransfers.Add(1)
 	c.agentTransferByte.Add(n)
 }
+
+// IncContainerDecode records one agent container decoded by a node
+// runtime (claim, step, rollback, failure or migration path).
+func (c *Counters) IncContainerDecode() { c.containerDecodes.Add(1) }
 
 // IncStepTxn records a committed step transaction.
 func (c *Counters) IncStepTxn() { c.stepTxns.Add(1) }
@@ -518,6 +524,7 @@ func (c *Counters) Snapshot() Snapshot {
 		LogBytesPeak:      c.logBytesPeak.Load(),
 		StableWrites:      c.stableWrites.Load(),
 		StableBytes:       c.stableBytes.Load(),
+		ContainerDecodes:  c.containerDecodes.Load(),
 
 		SchedClaims:          c.schedClaims.Load(),
 		SchedClaimConflicts:  c.claimConflicts.Load(),
@@ -628,6 +635,7 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 		LogBytesPeak:      s.LogBytesPeak, // peak is not differential
 		StableWrites:      s.StableWrites - o.StableWrites,
 		StableBytes:       s.StableBytes - o.StableBytes,
+		ContainerDecodes:  s.ContainerDecodes - o.ContainerDecodes,
 
 		SchedClaims:          s.SchedClaims - o.SchedClaims,
 		SchedClaimConflicts:  s.SchedClaimConflicts - o.SchedClaimConflicts,

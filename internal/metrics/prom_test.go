@@ -24,6 +24,7 @@ func promSnapshot() (Snapshot, LatencySummary) {
 	c.IncAgentTransfer(4096)
 	c.IncStepTxn()
 	c.IncStepTxnAbort()
+	c.IncContainerDecode()
 	c.IncCompOps(7)
 	c.ObserveLogBytes(512)
 	c.ObserveNetBatch(1)

@@ -276,7 +276,12 @@ func TestTCPCoalescesUnderLinger(t *testing.T) {
 			t.Fatalf("message %d: %+v, %v", i, msg, ok)
 		}
 	}
+	// The flusher counts a batch after its write returns, so the peer
+	// can receive the last message before the counter catches up.
 	s := c.Snapshot()
+	for deadline := time.Now().Add(5 * time.Second); s.NetBatchedMsgs < n && time.Now().Before(deadline); s = c.Snapshot() {
+		time.Sleep(time.Millisecond)
+	}
 	if s.NetBatchedMsgs != n {
 		t.Errorf("batched msgs = %d, want %d", s.NetBatchedMsgs, n)
 	}

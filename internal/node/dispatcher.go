@@ -9,7 +9,6 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/trace"
 	"repro/internal/txn"
-	"repro/internal/wire"
 )
 
 // dispatch is the message-handling goroutine: it decodes inbound
@@ -366,7 +365,7 @@ func (n *Node) sendDone(b *outBatch, agentID string) {
 		return
 	}
 	var rec doneRec
-	if err := wire.Decode(raw, &rec); err != nil {
+	if err := rec.DecodeFrom(raw); err != nil {
 		return
 	}
 	n.sendTo(b, rec.Owner, kindAgentDone, &rec.Msg)
@@ -375,7 +374,7 @@ func (n *Node) sendDone(b *outBatch, agentID string) {
 // handleLaunch inserts a fresh agent container into the input queue.
 func (n *Node) handleLaunch(msg network.Message) {
 	var req launchMsg
-	if err := wire.Decode(msg.Payload, &req); err != nil {
+	if err := req.DecodeFrom(msg.Payload); err != nil {
 		return
 	}
 	reply := protocol.AckMsg{TxnID: req.ID, OK: true}

@@ -172,26 +172,23 @@ func (n *Node) adoptionGate(e protocol.StageEntry) error {
 	if n.members.Left() {
 		return errors.New("node left the cluster (draining)")
 	}
-	c, err := DecodeContainer(e.Data)
-	if err != nil || c.Epoch == 0 {
+	epoch, err := containerEpoch(e.Data)
+	if err != nil || epoch == 0 {
 		return nil // not a migration container (or not ours to judge)
 	}
-	agentID := e.EntryID
-	if c.Agent != nil {
-		agentID = c.Agent.ID
-	}
+	agentID := e.EntryID // hand-offs stage containers under the agent ID
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.adopted[agentID] >= c.Epoch {
+	if n.adopted[agentID] >= epoch {
 		if tr := n.cfg.Tracer; tr != nil {
-			tr.Rec(trace.OpMigrate, e.TxnID, agentID, "refuse", e.From, "", c.Epoch)
+			tr.Rec(trace.OpMigrate, e.TxnID, agentID, "refuse", e.From, "", epoch)
 		}
 		if n.cfg.Counters != nil {
 			n.cfg.Counters.IncAdoptionRefusal()
 		}
-		return fmt.Errorf("agent %s epoch %d already adopted", agentID, c.Epoch)
+		return fmt.Errorf("agent %s epoch %d already adopted", agentID, epoch)
 	}
-	n.adopting[e.TxnID] = stagingAdoption{agentID: agentID, epoch: c.Epoch}
+	n.adopting[e.TxnID] = stagingAdoption{agentID: agentID, epoch: epoch}
 	return nil
 }
 
@@ -366,7 +363,7 @@ func (n *Node) stillQueued(e *stable.Entry) bool {
 // compensation must run where its step ran) and keep executing here even
 // during a drain.
 func (n *Node) migrationDest(ring *membership.Ring, e *stable.Entry) (string, bool) {
-	c, err := DecodeContainer(e.Data)
+	c, err := n.decodeContainer(e.Data)
 	if err != nil || c.Agent == nil || c.Mode != ModeStep {
 		return "", false
 	}
@@ -393,7 +390,7 @@ func (n *Node) migrationDest(ring *membership.Ring, e *stable.Entry) (string, bo
 // input queue (§4.3 carries over: before the decision the staged copy
 // dies by presumed abort; after it, removal is already durable).
 func (n *Node) migrateEntry(e *stable.Entry, dest string) error {
-	c, err := DecodeContainer(e.Data)
+	c, err := n.decodeContainer(e.Data)
 	if err != nil || c.Agent == nil {
 		return fmt.Errorf("node %s: migrate %q: corrupt container", n.cfg.Name, e.ID)
 	}

@@ -1,7 +1,7 @@
 package node
 
 import (
-	"fmt"
+	"sync"
 
 	"repro/internal/agent"
 	"repro/internal/protocol"
@@ -44,16 +44,103 @@ type Container struct {
 	Epoch int64
 }
 
-// EncodeContainer serializes a container for queue storage / transfer.
-func EncodeContainer(c *Container) ([]byte, error) { return wire.Encode(c) }
+// Payload type bytes of the node runtime's records. Messages live in
+// 0x10..0x1f, the container in the agent-container partition 0x20..0x2f
+// (0x21..0x23 are the agent's savepoint-image records), the durable done
+// record in 0x40..0x4f. See DESIGN.md "Wire format"; never reuse a value.
+const (
+	typeDone      byte = 0x10
+	typeLaunch    byte = 0x11
+	typeContainer byte = 0x20
+	typeDoneRec   byte = 0x40
+)
 
-// DecodeContainer deserializes a container.
+// encodeScratch recycles EncodeContainer's build buffer, so an encode
+// allocates only its exact-size result.
+var encodeScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledScratch caps the buffers kept in encodeScratch: a rare huge
+// container must not pin a same-sized buffer for the process lifetime.
+const maxPooledScratch = 1 << 20
+
+// EncodeContainer serializes a container for queue storage / transfer.
+// The binary encoding cannot fail; the error result is kept for callers.
+func EncodeContainer(c *Container) ([]byte, error) {
+	scratch := encodeScratch.Get().(*[]byte)
+	*scratch = c.AppendTo((*scratch)[:0])
+	out := make([]byte, len(*scratch))
+	copy(out, *scratch)
+	if cap(*scratch) <= maxPooledScratch {
+		encodeScratch.Put(scratch)
+	}
+	return out, nil
+}
+
+// DecodeContainer deserializes a container. Data-space, image and
+// parameter values alias data, which must not be modified afterwards.
 func DecodeContainer(data []byte) (*Container, error) {
-	var c Container
-	if err := wire.Decode(data, &c); err != nil {
+	c := &Container{}
+	if err := c.DecodeFrom(data); err != nil {
 		return nil, err
 	}
-	return &c, nil
+	return c, nil
+}
+
+// AppendTo implements wire.BinaryMessage. The migration epoch leads the
+// fields so the adoption gate can read it without decoding the agent
+// (containerEpoch).
+func (c *Container) AppendTo(buf []byte) []byte {
+	buf = wire.AppendHeader(buf, typeContainer)
+	buf = wire.AppendVarint(buf, c.Epoch)
+	buf = wire.AppendUvarint(buf, uint64(c.Mode))
+	buf = wire.AppendString(buf, c.SpID)
+	buf = wire.AppendBool(buf, c.Agent != nil)
+	if c.Agent != nil {
+		buf = c.Agent.AppendTo(buf)
+	}
+	return buf
+}
+
+// DecodeFrom implements wire.BinaryMessage.
+func (c *Container) DecodeFrom(data []byte) error {
+	b, err := wire.Body(data, typeContainer)
+	if err != nil {
+		return err
+	}
+	*c = Container{}
+	if c.Epoch, b, err = wire.ReadVarint(b); err != nil {
+		return err
+	}
+	var mode uint64
+	if mode, b, err = wire.ReadUvarint(b); err != nil {
+		return err
+	}
+	c.Mode = Mode(mode)
+	if c.SpID, b, err = wire.ReadString(b); err != nil {
+		return err
+	}
+	var hasAgent bool
+	if hasAgent, b, err = wire.ReadBool(b); err != nil {
+		return err
+	}
+	if hasAgent {
+		c.Agent = &agent.Agent{}
+		if b, err = c.Agent.DecodeFrom(b); err != nil {
+			return err
+		}
+	}
+	return wire.Done(b)
+}
+
+// containerEpoch reads a container's migration epoch from its leading
+// field without decoding the rest.
+func containerEpoch(data []byte) (int64, error) {
+	b, err := wire.Body(data, typeContainer)
+	if err != nil {
+		return 0, err
+	}
+	epoch, _, err := wire.ReadVarint(b)
+	return epoch, err
 }
 
 // launchMsg inserts a fresh agent container into the node's input queue.
@@ -70,15 +157,14 @@ type doneMsg struct {
 	Data    []byte // final agent container
 }
 
-// typeDone is doneMsg's binary type byte. The node-runtime partition is
-// 0x10–0x1F (the protocol messages own 0x01–0x0F); never reuse a value.
-const typeDone = 0x10
-
 // AppendTo implements wire.BinaryMessage: completion notifications carry
 // the full final agent container, so they ride the fast path alongside
 // the protocol messages.
 func (m *doneMsg) AppendTo(buf []byte) []byte {
-	buf = append(buf, wire.BinaryVersion, typeDone)
+	return m.appendFields(wire.AppendHeader(buf, typeDone))
+}
+
+func (m *doneMsg) appendFields(buf []byte) []byte {
 	buf = wire.AppendString(buf, m.AgentID)
 	buf = wire.AppendBool(buf, m.Failed)
 	buf = wire.AppendString(buf, m.Reason)
@@ -87,26 +173,31 @@ func (m *doneMsg) AppendTo(buf []byte) []byte {
 
 // DecodeFrom implements wire.BinaryMessage. Data aliases the input.
 func (m *doneMsg) DecodeFrom(data []byte) error {
-	typ, rest, err := wire.SplitBinary(data)
+	b, err := wire.Body(data, typeDone)
 	if err != nil {
 		return err
 	}
-	if typ != typeDone {
-		return fmt.Errorf("%w: message type 0x%02x, want done 0x%02x", wire.ErrCorrupt, typ, typeDone)
-	}
-	if m.AgentID, rest, err = wire.ReadString(rest); err != nil {
+	if b, err = m.decodeFields(b); err != nil {
 		return err
 	}
-	if m.Failed, rest, err = wire.ReadBool(rest); err != nil {
-		return err
+	return wire.Done(b)
+}
+
+func (m *doneMsg) decodeFields(b []byte) ([]byte, error) {
+	var err error
+	if m.AgentID, b, err = wire.ReadString(b); err != nil {
+		return nil, err
 	}
-	if m.Reason, rest, err = wire.ReadString(rest); err != nil {
-		return err
+	if m.Failed, b, err = wire.ReadBool(b); err != nil {
+		return nil, err
 	}
-	if m.Data, rest, err = wire.ReadBytes(rest); err != nil {
-		return err
+	if m.Reason, b, err = wire.ReadString(b); err != nil {
+		return nil, err
 	}
-	return wire.Done(rest)
+	if m.Data, b, err = wire.ReadBytes(b); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // Exported message kinds for collectors (owners) built outside this
@@ -126,7 +217,8 @@ type Done struct {
 	Agent   *agent.Agent
 }
 
-// DecodeDone decodes a KindAgentDone payload, binary or legacy gob.
+// DecodeDone decodes a KindAgentDone payload: binary, or gob from a node
+// pinned to the legacy transport encoding (Config.WireGob).
 func DecodeDone(payload []byte) (Done, error) {
 	var dm doneMsg
 	if wire.Binary(payload) {
@@ -161,14 +253,57 @@ const KindAgentLaunch = kindAgentLaunch
 
 // EncodeLaunch builds a KindAgentLaunch payload.
 func EncodeLaunch(id string, container []byte) ([]byte, error) {
-	return wire.Encode(&launchMsg{ID: id, Data: container})
+	m := launchMsg{ID: id, Data: container}
+	return m.AppendTo(nil), nil
 }
 
-var _ = registerMessages()
+// AppendTo implements wire.BinaryMessage.
+func (m *launchMsg) AppendTo(buf []byte) []byte {
+	buf = wire.AppendHeader(buf, typeLaunch)
+	buf = wire.AppendString(buf, m.ID)
+	return wire.AppendBytes(buf, m.Data)
+}
 
-func registerMessages() struct{} {
-	wire.RegisterName("node.Container", &Container{})
-	wire.RegisterName("node.launch", &launchMsg{})
-	wire.RegisterName("node.done", &doneMsg{})
-	return struct{}{}
+// DecodeFrom implements wire.BinaryMessage. Data aliases the input.
+func (m *launchMsg) DecodeFrom(data []byte) error {
+	b, err := wire.Body(data, typeLaunch)
+	if err != nil {
+		return err
+	}
+	if m.ID, b, err = wire.ReadString(b); err != nil {
+		return err
+	}
+	if m.Data, b, err = wire.ReadBytes(b); err != nil {
+		return err
+	}
+	return wire.Done(b)
+}
+
+// doneRec is the durable completion record re-sent to the owner until
+// acknowledged.
+type doneRec struct {
+	Owner string
+	Msg   doneMsg
+}
+
+// AppendTo implements wire.BinaryMessage.
+func (r *doneRec) AppendTo(buf []byte) []byte {
+	buf = wire.AppendHeader(buf, typeDoneRec)
+	buf = wire.AppendString(buf, r.Owner)
+	return r.Msg.appendFields(buf)
+}
+
+// DecodeFrom implements wire.BinaryMessage. Msg.Data aliases the input.
+func (r *doneRec) DecodeFrom(data []byte) error {
+	b, err := wire.Body(data, typeDoneRec)
+	if err != nil {
+		return err
+	}
+	if r.Owner, b, err = wire.ReadString(b); err != nil {
+		return err
+	}
+	if b, err = r.Msg.decodeFields(b); err != nil {
+		return err
+	}
+	return wire.Done(b)
 }

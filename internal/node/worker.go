@@ -13,7 +13,6 @@ import (
 	"repro/internal/stable"
 	"repro/internal/trace"
 	"repro/internal/txn"
-	"repro/internal/wire"
 )
 
 // permanentError marks failures that retrying cannot fix (unknown step
@@ -37,15 +36,6 @@ func isPermanent(err error) bool {
 // first case). It is surfaced as a retryable error so the worker's attempt
 // accounting still bounds rollback/retry loops.
 var errImmediateRollback = errors.New("node: rollback finished at immediate savepoint")
-
-// doneRec is the durable completion record re-sent to the owner until
-// acknowledged.
-type doneRec struct {
-	Owner string
-	Msg   doneMsg
-}
-
-func init() { wire.RegisterName("node.doneRec", &doneRec{}) }
 
 const donePrefix = "done/"
 
@@ -97,13 +87,19 @@ func (n *Node) recoverThenWork() {
 // container: the resource names the next step method declared through
 // Registry.RegisterStepHints. Hint-less methods — and rollback
 // containers, whose compensations span many steps — return nil and
-// schedule freely; 2PL remains the arbiter of actual conflicts.
+// schedule freely; 2PL remains the arbiter of actual conflicts. The
+// decoded container stays on the claim's entry for process, so a claimed
+// step decodes its container once.
 func (n *Node) conflictKeys(e *stable.Entry) []string {
 	if !n.registry.HasHints() {
 		return nil // skip the container decode entirely
 	}
-	c, err := DecodeContainer(e.Data)
-	if err != nil || c.Mode != ModeStep || c.Agent == nil {
+	c, err := n.decodeContainer(e.Data)
+	if err != nil {
+		return nil // process reports the corruption
+	}
+	e.Decoded = c
+	if c.Mode != ModeStep || c.Agent == nil {
 		return nil
 	}
 	step, err := c.Agent.Itin.StepAt(c.Agent.Cursor)
@@ -115,6 +111,15 @@ func (n *Node) conflictKeys(e *stable.Entry) []string {
 		return nil
 	}
 	return hint(c.Agent, step)
+}
+
+// decodeContainer decodes a container on one of the node's own paths,
+// counting the decode.
+func (n *Node) decodeContainer(data []byte) (*Container, error) {
+	if n.cfg.Counters != nil {
+		n.cfg.Counters.IncContainerDecode()
+	}
+	return DecodeContainer(data)
 }
 
 // lockBusy reports whether the transaction lock of the named local
@@ -201,20 +206,27 @@ func (n *Node) replayDone() {
 			continue
 		}
 		var rec doneRec
-		if err := wire.Decode(raw, &rec); err != nil {
+		if err := rec.DecodeFrom(raw); err != nil {
 			continue
 		}
 		n.step(protocol.DoneRecorded{AgentID: strings.TrimPrefix(k, donePrefix), Owner: rec.Owner})
 	}
 }
 
-// process decodes and executes one queued container. Decoding is fresh on
-// every attempt: an aborted attempt's in-memory mutations vanish and the
-// stable queue copy is authoritative — the paper's "the state of the agent
-// and the rollback log read from stable storage is the state before the
-// execution of the aborting step transaction".
+// process executes one queued container, decoded once per claim: it
+// takes the container the claim's hint left on the entry, or decodes it.
+// Every attempt is a fresh claim with a fresh entry, so a retry decodes
+// again from the stable copy: an aborted attempt's in-memory mutations
+// vanish and the stable queue copy is authoritative — the paper's "the
+// state of the agent and the rollback log read from stable storage is the
+// state before the execution of the aborting step transaction".
 func (n *Node) process(entry *stable.Entry, attempt int) error {
-	c, err := DecodeContainer(entry.Data)
+	c, ok := entry.Decoded.(*Container)
+	entry.Decoded = nil // this attempt mutates it
+	var err error
+	if !ok {
+		c, err = n.decodeContainer(entry.Data)
+	}
 	if err != nil {
 		return permanent(fmt.Errorf("node %s: corrupt container %q: %w", n.cfg.Name, entry.ID, err))
 	}
@@ -231,7 +243,7 @@ func (n *Node) process(entry *stable.Entry, attempt int) error {
 // failAgent removes the container and reports permanent failure to the
 // agent's owner.
 func (n *Node) failAgent(entry *stable.Entry, cause error) {
-	c, err := DecodeContainer(entry.Data)
+	c, err := n.decodeContainer(entry.Data)
 	if err != nil || c.Agent == nil {
 		// Undeliverable: drop the poisoned entry.
 		n.cfg.Logger.Error("dropping poisoned queue entry",
@@ -266,11 +278,7 @@ func (n *Node) finishAgent(tx *txn.Tx, a *agent.Agent, failed bool, reason strin
 		Owner: a.Owner,
 		Msg:   doneMsg{AgentID: a.ID, Failed: failed, Reason: reason, Data: data},
 	}
-	raw, err := wire.Encode(&rec)
-	if err != nil {
-		return err
-	}
-	tx.AddCommitOps(stable.Put(doneKey(a.ID), raw))
+	tx.AddCommitOps(stable.Put(doneKey(a.ID), rec.AppendTo(nil)))
 	if err := tx.Commit(); err != nil {
 		return err
 	}
@@ -470,9 +478,7 @@ func (n *Node) observeLogSize(a *agent.Agent) {
 	if n.cfg.Counters == nil {
 		return
 	}
-	if sz, err := a.Log.EncodedSize(); err == nil {
-		n.cfg.Counters.ObserveLogBytes(int64(sz))
-	}
+	n.cfg.Counters.ObserveLogBytes(int64(a.Log.EncodedSize()))
 }
 
 // startRollback implements Figure 4a / 5a: after the aborting step
@@ -482,7 +488,7 @@ func (n *Node) observeLogSize(a *agent.Agent) {
 // compensation transaction — the routing decisions are
 // protocol.PopToTarget / protocol.CompensationDest.
 func (n *Node) startRollback(entry *stable.Entry, spID string) error {
-	c, err := DecodeContainer(entry.Data) // fresh pre-step state
+	c, err := n.decodeContainer(entry.Data) // fresh pre-step state
 	if err != nil {
 		return permanent(err)
 	}

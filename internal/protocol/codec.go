@@ -3,7 +3,6 @@ package protocol
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/wire"
@@ -54,18 +53,6 @@ func Decode(data []byte, v any) error {
 	return wire.Decode(data, v)
 }
 
-// body validates the payload header against the expected type byte.
-func body(data []byte, want byte) ([]byte, error) {
-	typ, b, err := wire.SplitBinary(data)
-	if err != nil {
-		return nil, err
-	}
-	if typ != want {
-		return nil, fmt.Errorf("%w: payload type 0x%02x, want 0x%02x", wire.ErrCorrupt, typ, want)
-	}
-	return b, nil
-}
-
 // --- PrepareMsg -------------------------------------------------------
 
 // AppendTo implements wire.BinaryMessage.
@@ -79,7 +66,7 @@ func (m *PrepareMsg) AppendTo(buf []byte) []byte {
 
 // DecodeFrom implements wire.BinaryMessage. Data aliases buf.
 func (m *PrepareMsg) DecodeFrom(buf []byte) error {
-	b, err := body(buf, TypePrepare)
+	b, err := wire.Body(buf, TypePrepare)
 	if err != nil {
 		return err
 	}
@@ -108,7 +95,7 @@ func (m *AckMsg) AppendTo(buf []byte) []byte {
 
 // DecodeFrom implements wire.BinaryMessage.
 func (m *AckMsg) DecodeFrom(buf []byte) error {
-	b, err := body(buf, TypeAck)
+	b, err := wire.Body(buf, TypeAck)
 	if err != nil {
 		return err
 	}
@@ -135,7 +122,7 @@ func (m *CtlMsg) AppendTo(buf []byte) []byte {
 
 // DecodeFrom implements wire.BinaryMessage.
 func (m *CtlMsg) DecodeFrom(buf []byte) error {
-	b, err := body(buf, TypeCtl)
+	b, err := wire.Body(buf, TypeCtl)
 	if err != nil {
 		return err
 	}
@@ -157,7 +144,7 @@ func (m *StatusMsg) AppendTo(buf []byte) []byte {
 
 // DecodeFrom implements wire.BinaryMessage.
 func (m *StatusMsg) DecodeFrom(buf []byte) error {
-	b, err := body(buf, TypeStatus)
+	b, err := wire.Body(buf, TypeStatus)
 	if err != nil {
 		return err
 	}
@@ -172,9 +159,10 @@ func (m *StatusMsg) DecodeFrom(buf []byte) error {
 
 // --- RCEExecMsg -------------------------------------------------------
 
-// AppendTo implements wire.BinaryMessage. Params keys are written in
-// sorted order so an encoding is deterministic for identical messages
-// (gob gives no such guarantee for maps).
+// AppendTo implements wire.BinaryMessage. Each op is written by
+// core.OpEntry.AppendTo (parameter keys sorted, so an encoding is
+// deterministic for identical messages — gob gives no such guarantee for
+// maps).
 func (m *RCEExecMsg) AppendTo(buf []byte) []byte {
 	buf = slices.Grow(buf, 2+len(m.TxnID)+16+32*len(m.Ops))
 	buf = append(buf, wire.BinaryVersion, TypeRCEExec)
@@ -185,27 +173,7 @@ func (m *RCEExecMsg) AppendTo(buf []byte) []byte {
 			// gob flattens a nil pointer to the zero value; match it.
 			op = &core.OpEntry{}
 		}
-		buf = wire.AppendUvarint(buf, uint64(op.Kind))
-		buf = wire.AppendString(buf, op.Op)
-		// Params count is shifted by one so nil and empty stay distinct
-		// across a round trip, exactly as gob keeps them (slices collapse
-		// to nil at length zero, maps only when nil).
-		if op.Params == nil {
-			buf = wire.AppendUvarint(buf, 0)
-			continue
-		}
-		buf = wire.AppendUvarint(buf, uint64(len(op.Params))+1)
-		if len(op.Params) > 0 {
-			keys := make([]string, 0, len(op.Params))
-			for k := range op.Params {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				buf = wire.AppendString(buf, k)
-				buf = wire.AppendBytes(buf, op.Params[k])
-			}
-		}
+		buf = op.AppendTo(buf)
 	}
 	return buf
 }
@@ -232,7 +200,7 @@ func (m *CtlBatchMsg) AppendTo(buf []byte) []byte {
 
 // DecodeFrom implements wire.BinaryMessage. TxnIDs alias buf.
 func (m *CtlBatchMsg) DecodeFrom(buf []byte) error {
-	b, err := body(buf, TypeCtlBatch)
+	b, err := wire.Body(buf, TypeCtlBatch)
 	if err != nil {
 		return err
 	}
@@ -280,7 +248,7 @@ func (m *QueryBatchMsg) AppendTo(buf []byte) []byte {
 
 // DecodeFrom implements wire.BinaryMessage. TxnIDs alias buf.
 func (m *QueryBatchMsg) DecodeFrom(buf []byte) error {
-	b, err := body(buf, TypeQueryBatch)
+	b, err := wire.Body(buf, TypeQueryBatch)
 	if err != nil {
 		return err
 	}
@@ -307,59 +275,27 @@ func (m *QueryBatchMsg) DecodeFrom(buf []byte) error {
 
 // DecodeFrom implements wire.BinaryMessage. Params values alias buf.
 func (m *RCEExecMsg) DecodeFrom(buf []byte) error {
-	b, err := body(buf, TypeRCEExec)
+	b, err := wire.Body(buf, TypeRCEExec)
 	if err != nil {
 		return err
 	}
 	if m.TxnID, b, err = wire.ReadString(b); err != nil {
 		return err
 	}
-	nOps, b, err := wire.ReadUvarint(b)
+	// Every op costs at least 3 bytes on the wire; ReadCount rejects
+	// counts the remaining buffer cannot possibly hold.
+	nOps, b, err := wire.ReadCount(b)
 	if err != nil {
 		return err
-	}
-	// Every op costs at least 3 bytes on the wire; reject counts the
-	// remaining buffer cannot possibly hold.
-	if nOps > maxInlineOps || nOps > uint64(len(b)) {
-		return fmt.Errorf("%w: %d ops exceed buffer", wire.ErrCorrupt, nOps)
 	}
 	m.Ops = nil
 	if nOps > 0 {
 		m.Ops = make([]*core.OpEntry, 0, nOps)
 	}
-	for i := uint64(0); i < nOps; i++ {
+	for i := 0; i < nOps; i++ {
 		op := &core.OpEntry{}
-		kind, rest, err := wire.ReadUvarint(b)
-		if err != nil {
+		if b, err = op.DecodeFrom(b); err != nil {
 			return err
-		}
-		b = rest
-		op.Kind = core.OpKind(kind)
-		if op.Op, b, err = wire.ReadString(b); err != nil {
-			return err
-		}
-		nParams, rest, err := wire.ReadUvarint(b)
-		if err != nil {
-			return err
-		}
-		b = rest
-		if nParams > 0 {
-			nParams-- // shifted count: 0 is nil, n+1 is n entries
-			if nParams > uint64(len(b)) {
-				return fmt.Errorf("%w: %d params exceed buffer", wire.ErrCorrupt, nParams)
-			}
-			op.Params = make(core.Params, nParams)
-			for j := uint64(0); j < nParams; j++ {
-				var k string
-				var v []byte
-				if k, b, err = wire.ReadString(b); err != nil {
-					return err
-				}
-				if v, b, err = wire.ReadBytes(b); err != nil {
-					return err
-				}
-				op.Params[k] = v
-			}
 		}
 		m.Ops = append(m.Ops, op)
 	}

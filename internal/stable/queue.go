@@ -1,6 +1,7 @@
 package stable
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strconv"
@@ -46,7 +47,7 @@ type Queue struct {
 	// entryIDs caches the agent ID of visible entries by store key. The
 	// claim scan consults it so withheld entries (claimed keys, younger
 	// entries of in-flight agents, vetoed agents) cost a map lookup, not
-	// a store read plus a gob decode per entry per call — with hundreds
+	// a store read plus a record decode per entry per call — with hundreds
 	// of agents in flight the old scan re-decoded every withheld entry
 	// on every Claim. Entries are decoded at most once per lifetime; the
 	// cache is pruned against the live key set when it outgrows it.
@@ -81,10 +82,17 @@ type Queue struct {
 	fence func(id string) bool
 }
 
-// Entry is one committed queue element.
+// Entry is one committed queue element. Every claim hands out a fresh
+// Entry, so state a consumer attaches to it lives exactly as long as
+// that claim.
 type Entry struct {
 	ID   string // application-level identifier (agent ID)
 	Data []byte // opaque container bytes
+
+	// Decoded is a consumer's decoded form of Data, attached during
+	// this claim (the node's scheduler hint decodes the container and
+	// its step transaction reuses it). The queue never reads it.
+	Decoded any
 
 	key string // store key, used by RemoveOp
 }
@@ -100,6 +108,61 @@ type stagedRec struct {
 type entryRec struct {
 	ID   string
 	Data []byte
+}
+
+// Payload type bytes of the queue records (stable partition 0x30..0x3f;
+// see DESIGN.md "Wire format"; never reuse a value).
+const (
+	typeEntryRec  byte = 0x30
+	typeStagedRec byte = 0x31
+)
+
+func (r entryRec) encode() []byte {
+	buf := make([]byte, 0, 2+2*binary.MaxVarintLen64+len(r.ID)+len(r.Data))
+	buf = wire.AppendHeader(buf, typeEntryRec)
+	buf = wire.AppendString(buf, r.ID)
+	return wire.AppendBytes(buf, r.Data)
+}
+
+// decode parses an entry record. Data aliases raw.
+func (r *entryRec) decode(raw []byte) error {
+	b, err := wire.Body(raw, typeEntryRec)
+	if err != nil {
+		return err
+	}
+	if r.ID, b, err = wire.ReadString(b); err != nil {
+		return err
+	}
+	if r.Data, b, err = wire.ReadBytes(b); err != nil {
+		return err
+	}
+	return wire.Done(b)
+}
+
+func (r stagedRec) encode() []byte {
+	buf := make([]byte, 0, 2+3*binary.MaxVarintLen64+len(r.ID)+len(r.Data))
+	buf = wire.AppendHeader(buf, typeStagedRec)
+	buf = wire.AppendUvarint(buf, r.Seq)
+	buf = wire.AppendString(buf, r.ID)
+	return wire.AppendBytes(buf, r.Data)
+}
+
+// decode parses a staged record. Data aliases raw.
+func (r *stagedRec) decode(raw []byte) error {
+	b, err := wire.Body(raw, typeStagedRec)
+	if err != nil {
+		return err
+	}
+	if r.Seq, b, err = wire.ReadUvarint(b); err != nil {
+		return err
+	}
+	if r.ID, b, err = wire.ReadString(b); err != nil {
+		return err
+	}
+	if r.Data, b, err = wire.ReadBytes(b); err != nil {
+		return err
+	}
+	return wire.Done(b)
 }
 
 // NewQueue returns a queue stored under the given key prefix.
@@ -170,10 +233,7 @@ func (q *Queue) Enqueue(id string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	rec, err := wire.Encode(entryRec{ID: id, Data: data})
-	if err != nil {
-		return err
-	}
+	rec := entryRec{ID: id, Data: data}.encode()
 	if err := q.store.Apply(seqOp, Put(q.entryKey(seq), rec)); err != nil {
 		return err
 	}
@@ -197,10 +257,7 @@ func (q *Queue) EnqueueOps(id string, data []byte) ([]Op, error) {
 	if err := q.store.Apply(seqOp); err != nil {
 		return nil, err
 	}
-	rec, err := wire.Encode(entryRec{ID: id, Data: data})
-	if err != nil {
-		return nil, err
-	}
+	rec := entryRec{ID: id, Data: data}.encode()
 	// Cache the ID now: the entry only becomes visible if the caller's
 	// transaction commits the ops, and a stale cache entry for a position
 	// that never materializes is pruned with the rest.
@@ -222,10 +279,7 @@ func (q *Queue) Prepare(txnID, id string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	rec, err := wire.Encode(stagedRec{Seq: seq, ID: id, Data: data})
-	if err != nil {
-		return err
-	}
+	rec := stagedRec{Seq: seq, ID: id, Data: data}.encode()
 	return q.store.Apply(seqOp, Put(q.stageKey(txnID), rec))
 }
 
@@ -242,13 +296,10 @@ func (q *Queue) CommitStaged(txnID string) error {
 		return nil
 	}
 	var st stagedRec
-	if err := wire.Decode(raw, &st); err != nil {
+	if err := st.decode(raw); err != nil {
 		return fmt.Errorf("stable: corrupt staged entry %q: %w", txnID, err)
 	}
-	rec, err := wire.Encode(entryRec{ID: st.ID, Data: st.Data})
-	if err != nil {
-		return err
-	}
+	rec := entryRec{ID: st.ID, Data: st.Data}.encode()
 	if err := q.store.Apply(
 		Del(q.stageKey(txnID)),
 		Put(q.entryKey(st.Seq), rec),
@@ -298,7 +349,7 @@ func (q *Queue) Peek() (*Entry, error) {
 		return nil, fmt.Errorf("stable: queue entry %q vanished", keys[0])
 	}
 	var rec entryRec
-	if err := wire.Decode(raw, &rec); err != nil {
+	if err := rec.decode(raw); err != nil {
 		return nil, fmt.Errorf("stable: corrupt queue entry %q: %w", keys[0], err)
 	}
 	return &Entry{ID: rec.ID, Data: rec.Data, key: keys[0]}, nil
@@ -399,7 +450,7 @@ func (q *Queue) readEntry(key string) (entryRec, error) {
 		return entryRec{}, fmt.Errorf("%w: %q", errEntryVanished, key)
 	}
 	var rec entryRec
-	if err := wire.Decode(raw, &rec); err != nil {
+	if err := rec.decode(raw); err != nil {
 		return entryRec{}, fmt.Errorf("stable: corrupt queue entry %q: %w", key, err)
 	}
 	return rec, nil

@@ -1,6 +1,9 @@
 package wire
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Tagged scalar encoding: zero-gob fast paths for the scalar kinds that
 // dominate compensation parameters (§4.4.1 operation entries carry small
@@ -82,4 +85,54 @@ func DecodeBytes(data []byte) (b []byte, ok bool) {
 	out := make([]byte, len(data)-1)
 	copy(out, data[1:])
 	return out, true
+}
+
+// EncodeValue encodes one opaque named value (a compensation parameter or
+// an agent data-space entry): int/int64, string and []byte take the
+// tagged-scalar fast path, every other type is gob-encoded.
+func EncodeValue(v any) ([]byte, error) {
+	switch x := v.(type) {
+	case int64:
+		return EncodeInt64(x), nil
+	case int:
+		return EncodeInt64(int64(x)), nil
+	case string:
+		return EncodeString(x), nil
+	case []byte:
+		return EncodeBytes(x), nil
+	}
+	return Encode(v)
+}
+
+// DecodeValue decodes a value produced by EncodeValue into out (a
+// non-nil pointer). A tagged scalar decodes into the pointer types of
+// its kind (*int64 and *int share the integer tag); reading it into any
+// other type is an error rather than a silent misdecode.
+func DecodeValue(data []byte, out any) error {
+	if !Tagged(data) {
+		return Decode(data, out)
+	}
+	switch o := out.(type) {
+	case *int64:
+		if v, ok := DecodeInt64(data); ok {
+			*o = v
+			return nil
+		}
+	case *int:
+		if v, ok := DecodeInt64(data); ok {
+			*o = int(v)
+			return nil
+		}
+	case *string:
+		if v, ok := DecodeString(data); ok {
+			*o = v
+			return nil
+		}
+	case *[]byte:
+		if v, ok := DecodeBytes(data); ok {
+			*o = v
+			return nil
+		}
+	}
+	return fmt.Errorf("wire: cannot decode tagged scalar into %T", out)
 }

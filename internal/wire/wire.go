@@ -2,10 +2,14 @@
 //
 // The paper's prototype (Mole) relied on Java object serialization to
 // capture an agent's private data and rollback log for migration and for
-// stable storage. This package plays the same role using encoding/gob:
-// per-value encoding for containers and stable-storage records, persistent
-// stream sessions for the TCP transport used by cmd/agentnode, and tagged
-// zero-gob fast paths for the common scalar kinds.
+// stable storage. Here that role is played by hand-rolled binary records
+// built on this package's varint helpers (binary.go): the agent container
+// with its log, itinerary and data spaces, the queue and completion
+// records, and the high-volume protocol messages. encoding/gob remains
+// for what has no fixed schema or is off the step path: opaque user
+// values that miss the tagged-scalar fast path (scalar.go), resource
+// state, transaction branch records, and the legacy gob transport mode
+// (persistent stream sessions, stream.go).
 package wire
 
 import (
@@ -86,24 +90,4 @@ func MustEncode(v any) []byte {
 		panic(err)
 	}
 	return data
-}
-
-// countingWriter counts bytes without retaining them.
-type countingWriter struct{ n int }
-
-func (w *countingWriter) Write(p []byte) (int, error) {
-	w.n += len(p)
-	return len(p), nil
-}
-
-// EncodedSize returns the gob-encoded size of v in bytes without
-// materializing the encoding: the encoder writes into a counting sink, so
-// sizing a value allocates no payload-sized buffers. It is used by the
-// experiments to account for log and agent transfer sizes.
-func EncodedSize(v any) (int, error) {
-	var cw countingWriter
-	if err := gob.NewEncoder(&cw).Encode(v); err != nil {
-		return 0, fmt.Errorf("wire: size %T: %w", v, err)
-	}
-	return cw.n, nil
 }

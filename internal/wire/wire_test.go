@@ -1,9 +1,6 @@
 package wire
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 type payload struct {
 	Name  string
@@ -29,20 +26,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if out.Name != in.Name || out.Count != in.Count || len(out.Tags) != 2 || out.Meta["k"] != "v" {
 		t.Errorf("roundtrip = %+v", out)
-	}
-}
-
-func TestEncodedSize(t *testing.T) {
-	small, err := EncodedSize("x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := EncodedSize(strings.Repeat("x", 10_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if big <= small || big < 10_000 {
-		t.Errorf("sizes: small=%d big=%d", small, big)
 	}
 }
 
