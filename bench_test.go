@@ -1,7 +1,6 @@
 package repro_test
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -101,10 +100,9 @@ func BenchmarkFig2LogEncode(b *testing.B) {
 }
 
 // BenchmarkWireCodec: one protocol message round-trip through the wire
-// layer. "standalone" is the per-value API (pooled scratch buffers, fresh
-// gob streams — used for containers and stable-store records); "stream"
-// is the persistent per-connection session the TCP transport uses, where
-// type descriptors cross once per connection.
+// layer. "standalone" is the per-value gob API (pooled scratch buffers,
+// fresh gob streams — used for opaque values and resource state); the
+// binary variants are the codec every protocol message travels in.
 func BenchmarkWireCodec(b *testing.B) {
 	msg := &network.Message{From: "n1", To: "n2", Kind: "q.prepare", Payload: make([]byte, 1024)}
 	b.Run("standalone", func(b *testing.B) {
@@ -116,21 +114,6 @@ func BenchmarkWireCodec(b *testing.B) {
 			}
 			var out network.Message
 			if err := wire.Decode(data, &out); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("stream", func(b *testing.B) {
-		var buf bytes.Buffer
-		enc := wire.NewStreamEncoder(&buf)
-		dec := wire.NewStreamDecoder(&buf)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := enc.Encode(msg); err != nil {
-				b.Fatal(err)
-			}
-			var out network.Message
-			if err := dec.Decode(&out); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -169,18 +152,16 @@ func BenchmarkWireCodec(b *testing.B) {
 // two small acks to one destination) from in-memory structs onto the
 // simulated wire and back into typed events at the peer — encode,
 // endpoint delivery, and the receiving dispatcher's payload decode, the
-// path a node pair takes around every Machine.Step. Variants match the
-// node configurations: legacy gob with one send per message, the binary
-// codec with one send per message, and binary with per-destination
-// coalescing (one mailbox hop for the whole transition — the PR-6 fast
-// path).
+// path a node pair takes around every Machine.Step. Variants: one send
+// per message, and per-destination coalescing (one mailbox hop for the
+// whole transition — the path every node runs).
 func BenchmarkTransitionToWire(b *testing.B) {
 	prep := &protocol.PrepareMsg{TxnID: "agent-42#7", EntryID: "agent-42", Data: make([]byte, 1024)}
 	ctl := &protocol.CtlMsg{TxnID: "agent-42#7"}
 	ack := &protocol.AckMsg{TxnID: "agent-42#7", OK: true}
 	st := &protocol.StatusMsg{TxnID: "agent-42#7", Committed: true}
 
-	run := func(b *testing.B, gob, batch, traced bool) {
+	run := func(b *testing.B, batch, traced bool) {
 		// traced replays the node instrumentation around this path: a
 		// wire-send record per outgoing message, a wire-recv per decoded
 		// one, and a batch-flush per coalesced delivery, against live
@@ -221,23 +202,14 @@ func BenchmarkTransitionToWire(b *testing.B) {
 					b.Errorf("unexpected kind %q", msg.Kind)
 					return
 				}
-				if err := protocol.Decode(msg.Payload, v); err != nil {
+				if err := v.DecodeFrom(msg.Payload); err != nil {
 					b.Error(err)
 					return
 				}
 				dstTr.Rec(trace.OpWireRecv, "", "", msg.Kind, msg.From, "", int64(len(msg.Payload)))
 			}
 		}()
-		encode := func(v any) []byte {
-			if gob {
-				d, err := wire.Encode(v)
-				if err != nil {
-					b.Fatal(err)
-				}
-				return d
-			}
-			return v.(wire.BinaryMessage).AppendTo(nil)
-		}
+		encode := func(v wire.BinaryMessage) []byte { return v.AppendTo(nil) }
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -267,11 +239,10 @@ func BenchmarkTransitionToWire(b *testing.B) {
 		sim.Close()
 		<-drained
 	}
-	b.Run("gob", func(b *testing.B) { run(b, true, false, false) })
-	b.Run("binary", func(b *testing.B) { run(b, false, false, false) })
-	b.Run("binary-traced", func(b *testing.B) { run(b, false, false, true) })
-	b.Run("binary-batch", func(b *testing.B) { run(b, false, true, false) })
-	b.Run("binary-batch-traced", func(b *testing.B) { run(b, false, true, true) })
+	b.Run("binary", func(b *testing.B) { run(b, false, false) })
+	b.Run("binary-traced", func(b *testing.B) { run(b, false, true) })
+	b.Run("binary-batch", func(b *testing.B) { run(b, true, false) })
+	b.Run("binary-batch-traced", func(b *testing.B) { run(b, true, true) })
 }
 
 // BenchmarkStableApplyParallel: concurrent step commits against one

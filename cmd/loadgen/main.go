@@ -27,9 +27,10 @@
 // (internal/chaos) instead of the plain load: each seed expands into a
 // schedule of node crashes, partitions, message drop/duplicate/reorder
 // faults and latency spikes, executed against the workload while the
-// §4.3 invariants are checked. A failing CI seed is replayed exactly with
-// `-chaos -chaos-seed=N -store=<engine> -workers=<W>`; the exact schedule
-// is printed and the exit status reflects the verdict.
+// §4.3 invariants are checked. A failing seed prints the one-line command
+// that replays it exactly (`-chaos -chaos-seed=N` plus every flag that
+// shaped the run); the schedule is printed and the exit status reflects
+// the verdict.
 package main
 
 import (
@@ -58,9 +59,6 @@ type runReport struct {
 	Store         string  `json:"store"`
 	Repl          int     `json:"repl,omitempty"`
 	ReplAcks      string  `json:"repl_acks,omitempty"`
-	Wire          string  `json:"wire"`
-	Batching      bool    `json:"batching"`
-	CtlBatching   bool    `json:"ctl_batching"`
 	Ring          bool    `json:"ring,omitempty"`
 	JoinMidRun    bool    `json:"join_mid_run,omitempty"`
 	Migrations    int64   `json:"migrations,omitempty"`
@@ -96,7 +94,7 @@ type runReport struct {
 	// (decision_commits_per_txn < 1.0 is the coalescing win), how many
 	// replies rode existing outbound batches, and how the timer-arm
 	// volume relates to committed step transactions (per-peer coalesced
-	// timers keep timers_per_txn far below the per-txn timer model).
+	// timers keep timers_per_txn far below one timer per transaction).
 	DecisionBatches      int64   `json:"decision_batches"`
 	DecisionOps          int64   `json:"decision_ops"`
 	DecisionCommitsPerTx float64 `json:"decision_commits_per_txn"`
@@ -131,9 +129,6 @@ func run(args []string) error {
 	latency := fs.Duration("latency", 200*time.Microsecond, "one-way network latency")
 	optimized := fs.Bool("optimized", false, "use the Figure-5 optimized rollback algorithm")
 	sflags := stable.BindFlags(fs, stable.Spec{Engine: "mem"})
-	wireFmt := fs.String("wire", "binary", "payload wire format: binary (fast path) | gob (legacy)")
-	noBatch := fs.Bool("nobatch", false, "disable per-destination coalescing of protocol sends")
-	noCtlBatch := fs.Bool("noctlbatch", false, "disable cross-transaction control-plane batching (per-txn resend timers, unstaged decision GC, no ack piggybacking) — A/B baseline")
 	profileName := fs.String("profile", "", `named load profile: "shard-saturate" saturates GOMAXPROCS across the shards and sweeps 1x/10x in-flight agents (p99 should stay flat)`)
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile covering the whole run to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")
@@ -152,12 +147,6 @@ func run(args []string) error {
 	chaosKill := fs.Int("chaos-kill", 0, "chaos: permanent machine kills per schedule (requires -repl with quorum acks)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	switch *wireFmt {
-	case "binary", "gob":
-	default:
-		return fmt.Errorf("bad -wire %q (want binary or gob)", *wireFmt)
 	}
 
 	spec, err := sflags.Spec()
@@ -205,13 +194,15 @@ func run(args []string) error {
 	if *chaosMode {
 		return runChaos(chaosConfig{
 			seed: *chaosSeed, seeds: *chaosSeeds, base: *chaosBase,
-			store: spec.Engine, workers: *workers, nodes: *nodes,
-			wire:       *wireFmt,
-			noCtlBatch: *noCtlBatch,
-			repl:       spec.Repl.Followers,
-			replAcks:   replAcks,
-			kills:      *chaosKill,
-			jsonPath:   *jsonPath,
+			opts: chaos.Options{
+				Store:    spec.Engine,
+				Workers:  *workers,
+				Nodes:    *nodes,
+				Repl:     spec.Repl.Followers,
+				ReplAcks: replAcks,
+				Kills:    *chaosKill,
+			},
+			jsonPath: *jsonPath,
 		})
 	}
 	if *chaosKill > 0 {
@@ -290,9 +281,6 @@ func run(args []string) error {
 				Optimized:     *optimized,
 				Store:         backend,
 				Repl:          spec.Repl,
-				WireGob:       *wireFmt == "gob",
-				NoCoalesce:    *noBatch,
-				NoCtlBatch:    *noCtlBatch,
 				TraceRing:     traceRing,
 				CollectTrace:  *tracePath != "",
 				Ring:          *ring || *joinMid,
@@ -310,9 +298,6 @@ func run(args []string) error {
 				Store:          backend,
 				Repl:           spec.Repl.Followers,
 				ReplAcks:       replAcks,
-				Wire:           *wireFmt,
-				Batching:       !*noBatch,
-				CtlBatching:    !*noCtlBatch,
 				Ring:           *ring || *joinMid,
 				JoinMidRun:     *joinMid,
 				Migrations:     res.Metrics.Migrations,
@@ -365,11 +350,11 @@ func run(args []string) error {
 			r.WireMsgsByKind = res.Metrics.WireMsgsByKind
 			lastTrace = res.TraceRecords
 			reports = append(reports, r)
-			fmt.Printf("workers=%-3d agents=%-5d store=%-4s wire=%-6s agents/s=%-8.1f steps/s=%-8.1f p50=%6.2fms p99=%7.2fms elapsed=%7.1fms inflight=%-3d goroutines=%-4d claimConf=%-4d lockAborts=%-3d retries=%-4d msgs=%-6d avgBatch=%.2f\n",
-				r.Workers, r.Agents, r.Store, r.Wire, r.AgentsPerSec, r.StepsPerSec, r.P50MS, r.P99MS, r.ElapsedMS,
+			fmt.Printf("workers=%-3d agents=%-5d store=%-4s agents/s=%-8.1f steps/s=%-8.1f p50=%6.2fms p99=%7.2fms elapsed=%7.1fms inflight=%-3d goroutines=%-4d claimConf=%-4d lockAborts=%-3d retries=%-4d msgs=%-6d avgBatch=%.2f\n",
+				r.Workers, r.Agents, r.Store, r.AgentsPerSec, r.StepsPerSec, r.P50MS, r.P99MS, r.ElapsedMS,
 				r.InFlightPeak, r.GoroutinePeak, r.ClaimConflict, r.LockAborts, r.Retries, r.Messages, r.AvgBatchSize)
-			fmt.Printf("control plane: ctl_batching=%v decision_commits/txn=%.3f decision_ops/commit=%.2f piggybacked=%d timers/txn=%.3f\n",
-				r.CtlBatching, r.DecisionCommitsPerTx, safeDiv(r.DecisionOps, r.DecisionBatches), r.AckPiggybacked, r.TimersPerTxn)
+			fmt.Printf("control plane: decision_commits/txn=%.3f decision_ops/commit=%.2f piggybacked=%d timers/txn=%.3f\n",
+				r.DecisionCommitsPerTx, safeDiv(r.DecisionOps, r.DecisionBatches), r.AckPiggybacked, r.TimersPerTxn)
 			if r.Ring {
 				fmt.Printf("ring placement: join_mid_run=%v migrations=%d\n", r.JoinMidRun, r.Migrations)
 			}
@@ -436,25 +421,20 @@ func safeDiv(a, b int64) float64 {
 }
 
 type chaosConfig struct {
-	seed       int64 // >= 0: replay exactly this seed
-	seeds      int
-	base       int64
-	store      string
-	workers    int
-	nodes      int
-	wire       string
-	noCtlBatch bool
-	repl       int    // follower replicas per shard (0 disables)
-	replAcks   string // "quorum" or "async"
-	kills      int    // permanent machine kills per schedule
-	jsonPath   string
+	seed     int64 // >= 0: replay exactly this seed
+	seeds    int
+	base     int64
+	opts     chaos.Options // every run's options; Seed is set per run
+	jsonPath string
 }
 
 type chaosReport struct {
 	Seed       int64    `json:"seed"`
 	Store      string   `json:"store"`
 	Workers    int      `json:"workers"`
+	Nodes      int      `json:"nodes"`
 	Repl       int      `json:"repl,omitempty"`
+	ReplAcks   string   `json:"repl_acks,omitempty"`
 	Kills      int      `json:"kills,omitempty"`
 	Crashes    int      `json:"crashes"`
 	Partitions int      `json:"partitions"`
@@ -482,17 +462,9 @@ func runChaos(cfg chaosConfig) error {
 	var reports []chaosReport
 	failed := 0
 	for _, seed := range seeds {
-		res, err := chaos.Run(chaos.Options{
-			Seed:       seed,
-			Store:      cfg.store,
-			Workers:    cfg.workers,
-			Nodes:      cfg.nodes,
-			Wire:       cfg.wire,
-			NoCtlBatch: cfg.noCtlBatch,
-			Repl:       cfg.repl,
-			ReplAcks:   cfg.replAcks,
-			Kills:      cfg.kills,
-		})
+		opts := cfg.opts
+		opts.Seed = seed
+		res, err := chaos.Run(opts)
 		if err != nil {
 			return err
 		}
@@ -501,8 +473,8 @@ func runChaos(cfg chaosConfig) error {
 		}
 		fmt.Println(res.Summary())
 		r := chaosReport{
-			Seed: seed, Store: cfg.store, Workers: cfg.workers,
-			Repl: cfg.repl, Kills: cfg.kills,
+			Seed: seed, Store: opts.Store, Workers: opts.Workers, Nodes: opts.Nodes,
+			Repl: opts.Repl, ReplAcks: opts.ReplAcks, Kills: opts.Kills,
 			Drops: res.Faults.Drops, Dups: res.Faults.Dups, Reorders: res.Faults.Reorders,
 			RolledBack: res.RolledBack,
 			ElapsedMS:  float64(res.Elapsed.Microseconds()) / 1000,
@@ -517,12 +489,7 @@ func runChaos(cfg chaosConfig) error {
 			for _, v := range res.Violations {
 				fmt.Printf("  violation: %s\n", v)
 			}
-			repro := fmt.Sprintf("go run ./cmd/loadgen -chaos -chaos-seed=%d -store=%s -workers=%d -wire=%s",
-				seed, cfg.store, cfg.workers, cfg.wire)
-			if cfg.repl > 0 {
-				repro += fmt.Sprintf(" -repl=%d -repl-acks=%s -chaos-kill=%d", cfg.repl, cfg.replAcks, cfg.kills)
-			}
-			fmt.Printf("  reproduce: %s\n", repro)
+			fmt.Printf("  reproduce: %s\n", chaosRepro(opts))
 		}
 	}
 	if cfg.jsonPath != "" {
@@ -539,4 +506,19 @@ func runChaos(cfg chaosConfig) error {
 		return fmt.Errorf("%d of %d chaos seeds violated invariants", failed, len(seeds))
 	}
 	return nil
+}
+
+// chaosRepro renders the loadgen command that replays one chaos run,
+// built from the options value that ran it so every flag that shaped the
+// cell is on the line.
+func chaosRepro(o chaos.Options) string {
+	cmd := fmt.Sprintf("go run ./cmd/loadgen -chaos -chaos-seed=%d -store=%s -workers=%d -nodes=%d",
+		o.Seed, o.Store, o.Workers, o.Nodes)
+	if o.Repl > 0 {
+		cmd += fmt.Sprintf(" -repl=%d -repl-acks=%s", o.Repl, o.ReplAcks)
+	}
+	if o.Kills > 0 {
+		cmd += fmt.Sprintf(" -chaos-kill=%d", o.Kills)
+	}
+	return cmd
 }

@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/chaos"
 )
 
 // TestLoadgenSmoke runs a tiny sweep end to end and checks the JSON
@@ -53,6 +56,31 @@ func TestLoadgenBadFlags(t *testing.T) {
 	if err := run([]string{"-chaos", "-store", "papyrus"}); err == nil {
 		t.Error("chaos mode accepted an unknown store backend")
 	}
+	for _, retired := range []string{"-noctlbatch", "-nobatch", "-wire"} {
+		if err := run([]string{retired}); err == nil {
+			t.Errorf("retired flag %s accepted", retired)
+		}
+	}
+}
+
+// TestLoadgenChaosReproLine: the chaos repro line must carry every
+// non-default option of the run that failed, so it replays the same cell.
+func TestLoadgenChaosReproLine(t *testing.T) {
+	line := chaosRepro(chaos.Options{Seed: 7, Store: "wal", Workers: 4, Nodes: 5, Repl: 2, ReplAcks: "quorum", Kills: 2})
+	for _, want := range []string{
+		"-chaos-seed=7", "-store=wal", "-workers=4", "-nodes=5",
+		"-repl=2", "-repl-acks=quorum", "-chaos-kill=2",
+	} {
+		if !strings.Contains(line, want) {
+			t.Errorf("repro line %q lacks %s", line, want)
+		}
+	}
+	plain := chaosRepro(chaos.Options{Seed: 1, Store: "mem", Workers: 1, Nodes: 4})
+	for _, absent := range []string{"-repl", "-chaos-kill"} {
+		if strings.Contains(plain, absent) {
+			t.Errorf("default-cell repro line %q carries %s", plain, absent)
+		}
+	}
 }
 
 // TestLoadgenChaosReplay replays one chaos seed through the CLI and
@@ -78,7 +106,7 @@ func TestLoadgenChaosReplay(t *testing.T) {
 		t.Fatalf("got %d chaos reports, want 1", len(reports))
 	}
 	r := reports[0]
-	if r.Seed != 1 || r.Workers != 2 || r.Store != "mem" {
+	if r.Seed != 1 || r.Workers != 2 || r.Nodes != 3 || r.Store != "mem" {
 		t.Errorf("report header wrong: %+v", r)
 	}
 	if len(r.Violations) != 0 {

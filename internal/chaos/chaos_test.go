@@ -15,18 +15,16 @@ import (
 
 // The chaos sweep is driven by flags so CI can fan it out over seed
 // ranges × store engines × worker counts, and so any failing seed is
-// replayed with one command:
+// replayed with the one command its failure report prints, e.g.:
 //
 //	go test ./internal/chaos -run 'TestChaos$' -chaos-seed=<N> \
-//	    -chaos-store=<engine> -chaos-workers=<W>
+//	    -chaos-store=<engine> -chaos-workers=<W> [-chaos-churn=<C>] ...
 var (
 	chaosSeeds   = flag.Int("chaos-seeds", 3, "number of consecutive seeds to sweep")
 	chaosSeed    = flag.Int64("chaos-seed", -1, "replay exactly this seed (prints its schedule)")
 	chaosBase    = flag.Int64("chaos-base-seed", 1, "first seed of the sweep")
 	chaosStore   = flag.String("chaos-store", "mem", "stable engine per node: mem|file|wal")
 	chaosWorkers = flag.Int("chaos-workers", 1, "scheduler workers per node")
-	chaosWire    = flag.String("chaos-wire", "binary", "wire format: binary|gob")
-	chaosNoCtl   = flag.Bool("chaos-noctlbatch", false, "disable cross-transaction control-plane batching (legacy per-txn timers)")
 	chaosChurn   = flag.Int("chaos-churn", 0, "membership churn draws per seed (joins + leaves; 0 disables)")
 	chaosRepl    = flag.Int("chaos-repl", 0, "follower replicas per shard (0 disables replication)")
 	chaosAcks    = flag.String("chaos-repl-acks", "quorum", "replication ack mode: quorum|async")
@@ -35,23 +33,46 @@ var (
 
 func chaosOptions(seed int64) chaos.Options {
 	return chaos.Options{
-		Seed:       seed,
-		Store:      *chaosStore,
-		Workers:    *chaosWorkers,
-		Wire:       *chaosWire,
-		NoCtlBatch: *chaosNoCtl,
-		Churn:      *chaosChurn,
-		Repl:       *chaosRepl,
-		ReplAcks:   *chaosAcks,
-		Kills:      *chaosKill,
+		Seed:     seed,
+		Store:    *chaosStore,
+		Workers:  *chaosWorkers,
+		Churn:    *chaosChurn,
+		Repl:     *chaosRepl,
+		ReplAcks: *chaosAcks,
+		Kills:    *chaosKill,
 	}
+}
+
+// cellLabel names the matrix cell opts runs in, for report headers.
+func cellLabel(o chaos.Options) string {
+	return fmt.Sprintf("store=%s workers=%d churn=%d repl=%d acks=%s kills=%d",
+		o.Store, o.Workers, o.Churn, o.Repl, o.ReplAcks, o.Kills)
+}
+
+// reproCommand renders the go test command that replays one seed. It is
+// built from the options value that ran the seed, so every flag that
+// shaped the cell is on the line.
+func reproCommand(o chaos.Options) string {
+	cmd := fmt.Sprintf("go test ./internal/chaos -run 'TestChaos$' -chaos-seed=%d -chaos-store=%s -chaos-workers=%d",
+		o.Seed, o.Store, o.Workers)
+	if o.Churn > 0 {
+		cmd += fmt.Sprintf(" -chaos-churn=%d", o.Churn)
+	}
+	if o.Repl > 0 {
+		cmd += fmt.Sprintf(" -chaos-repl=%d -chaos-repl-acks=%s", o.Repl, o.ReplAcks)
+	}
+	if o.Kills > 0 {
+		cmd += fmt.Sprintf(" -chaos-kill=%d", o.Kills)
+	}
+	return cmd
 }
 
 // runSeed executes one seed and fails the test on any invariant
 // violation, printing the exact schedule and the one-line repro command.
 func runSeed(t *testing.T, seed int64, verbose bool) {
 	t.Helper()
-	res, err := chaos.Run(chaosOptions(seed))
+	opts := chaosOptions(seed)
+	res, err := chaos.Run(opts)
 	if err != nil {
 		t.Fatalf("seed %d: harness error: %v", seed, err)
 	}
@@ -62,18 +83,13 @@ func runSeed(t *testing.T, seed int64, verbose bool) {
 	if !res.Failed() {
 		return
 	}
-	report := fmt.Sprintf("chaos seed %d (store=%s workers=%d wire=%s) violated %d invariant(s):\n",
-		seed, *chaosStore, *chaosWorkers, *chaosWire, len(res.Violations))
+	report := fmt.Sprintf("chaos seed %d (%s) violated %d invariant(s):\n",
+		seed, cellLabel(opts), len(res.Violations))
 	for _, v := range res.Violations {
 		report += "  " + v.String() + "\n"
 	}
 	report += "\n" + res.Schedule.String()
-	repro := fmt.Sprintf("go test ./internal/chaos -run 'TestChaos$' -chaos-seed=%d -chaos-store=%s -chaos-workers=%d -chaos-wire=%s",
-		seed, *chaosStore, *chaosWorkers, *chaosWire)
-	if *chaosRepl > 0 {
-		repro += fmt.Sprintf(" -chaos-repl=%d -chaos-repl-acks=%s -chaos-kill=%d", *chaosRepl, *chaosAcks, *chaosKill)
-	}
-	report += fmt.Sprintf("\nreproduce with:\n  %s\n", repro)
+	report += fmt.Sprintf("\nreproduce with:\n  %s\n", reproCommand(opts))
 	writeArtifact(t, seed, report)
 	t.Errorf("%s", report)
 }
@@ -113,6 +129,36 @@ func TestChaos(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			runSeed(t, seed, false)
 		})
+	}
+}
+
+// TestChaosReproLineCarriesEveryOption: a failing seed's repro line and
+// report header must name every non-default option of the cell that ran
+// it — a churn seed replayed without -chaos-churn replays a different
+// schedule.
+func TestChaosReproLineCarriesEveryOption(t *testing.T) {
+	o := chaos.Options{Seed: 42, Store: "wal", Workers: 8, Churn: 2, Repl: 2, ReplAcks: "async", Kills: 1}
+	line := reproCommand(o)
+	for _, want := range []string{
+		"-chaos-seed=42", "-chaos-store=wal", "-chaos-workers=8", "-chaos-churn=2",
+		"-chaos-repl=2", "-chaos-repl-acks=async", "-chaos-kill=1",
+	} {
+		if !strings.Contains(line, want) {
+			t.Errorf("repro line %q lacks %s", line, want)
+		}
+	}
+	header := cellLabel(o)
+	for _, want := range []string{"store=wal", "workers=8", "churn=2", "repl=2", "acks=async", "kills=1"} {
+		if !strings.Contains(header, want) {
+			t.Errorf("report header %q lacks %s", header, want)
+		}
+	}
+	// Default options render no optional flag.
+	plain := reproCommand(chaos.Options{Seed: 1, Store: "mem", Workers: 1})
+	for _, absent := range []string{"-chaos-churn", "-chaos-repl", "-chaos-kill"} {
+		if strings.Contains(plain, absent) {
+			t.Errorf("default-cell repro line %q carries %s", plain, absent)
+		}
 	}
 }
 
@@ -331,8 +377,8 @@ func TestChaosKillRequiresQuorum(t *testing.T) {
 }
 
 // TestChaosDurableEngines runs one seed per durable engine so the store
-// reopen path (real crash recovery under ReopenStores) is exercised even
-// without the CI matrix.
+// reopen path (real crash recovery on Recover) is exercised even without
+// the CI matrix.
 func TestChaosDurableEngines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("durable chaos runs")

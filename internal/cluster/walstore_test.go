@@ -2,15 +2,14 @@ package cluster_test
 
 // End-to-end crash recovery over the log-structured WAL storage engine:
 // unlike the MemStore simulation (where the store object survives the
-// crash), Options.ReopenStores closes the store on Crash and re-opens it
-// from disk on Recover, so the engine's real recovery path — checkpoint
+// crash), a durable Options.Store closes the store on Crash and re-opens
+// it from disk on Recover, so the engine's real recovery path — checkpoint
 // load, segment replay, torn-tail truncation — carries the §4.3 protocol
 // recovery (staged-entry resolution, input-queue replay).
 
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -21,7 +20,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/resource"
 	"repro/internal/stable"
-	"repro/internal/stable/wal"
+	_ "repro/internal/stable/wal" // registers the wal engine for stable.Open
 	"repro/internal/txn"
 )
 
@@ -32,19 +31,17 @@ func TestWALStoreCrashRecovery(t *testing.T) {
 		steps   = 4
 		seed    = 1_000
 	)
-	baseDir := t.TempDir()
 	cl := cluster.New(cluster.Options{
-		Workers:      workers,
-		RetryDelay:   time.Millisecond,
-		AckTimeout:   2 * time.Second,
-		ReopenStores: true,
-		StoreFactory: func(nodeName string) (stable.Store, error) {
+		Workers:    workers,
+		RetryDelay: time.Millisecond,
+		AckTimeout: 2 * time.Second,
+		Store: stable.Spec{
+			Engine: "wal",
+			Dir:    t.TempDir(),
 			// Small segments and an eager checkpoint cadence so the
-			// workload actually rotates, checkpoints and replays.
-			return wal.Open(filepath.Join(baseDir, nodeName), wal.Options{
-				SegmentSize:     16 << 10,
-				CheckpointEvery: 32 << 10,
-			})
+			// workload (a few tens of KiB per node) actually rotates,
+			// checkpoints and replays.
+			WAL: stable.WALSpec{SegmentSize: 16 << 10, CheckpointEvery: 8 << 10},
 		},
 	})
 	for _, n := range []string{"n0", "n1"} {
@@ -207,5 +204,10 @@ func TestWALStoreCrashRecovery(t *testing.T) {
 	}
 	if sink2 != sink {
 		t.Errorf("balances drifted across cold restart: %d -> %d", sink, sink2)
+	}
+	// The WAL tuning reached the engine through the Spec: the workload
+	// rotated segments and wrote checkpoints.
+	if s := cl.Counters().Snapshot(); s.WALRotations == 0 || s.WALCheckpoints == 0 {
+		t.Errorf("WAL rotations %d, checkpoints %d: Spec.WAL tuning did not reach the engine", s.WALRotations, s.WALCheckpoints)
 	}
 }

@@ -14,23 +14,16 @@ import (
 	"repro/internal/txn"
 )
 
-// mixedWireCluster builds a three-node cluster where n2 runs the legacy
-// gob wire format without coalescing (a not-yet-upgraded process) while
-// n1 and n3 run the binary fast path — every n1/n3↔n2 link is a
-// mixed-version link in both directions.
-func mixedWireCluster(t *testing.T) *cluster.Cluster {
+// wireCluster builds a three-node cluster whose rollback itinerary sends
+// every protocol message kind across the wire: agent transfers, both 2PC
+// rounds and shipped RCE lists.
+func wireCluster(t *testing.T) *cluster.Cluster {
 	t.Helper()
 	cl := cluster.New(cluster.Options{
-		Optimized:   true, // RCE lists cross the mixed links too
+		Optimized:   true, // RCE lists cross the wire too
 		RetryDelay:  2 * time.Millisecond,
 		AckTimeout:  time.Second,
 		MaxAttempts: 8,
-		NodeOverride: func(name string, cfg *node.Config) {
-			if name == "n2" {
-				cfg.WireGob = true
-				cfg.NoCoalesce = true
-			}
-		},
 	})
 	for _, name := range []string{"n1", "n2", "n3"} {
 		if err := cl.AddNode(name, bankFactory("bank", true)); err != nil {
@@ -89,13 +82,12 @@ func mixedWireCluster(t *testing.T) *cluster.Cluster {
 	return cl
 }
 
-// TestMixedWireVersionItinerary runs a full itinerary — deposits on all
-// three nodes, then a partial rollback triggered on the legacy node —
-// across a cluster where one node speaks gob and two speak binary. Every
-// agent transfer, 2PC round and shipped RCE list crosses a mixed-version
-// link; payload format sniffing must make the difference invisible.
-func TestMixedWireVersionItinerary(t *testing.T) {
-	cl := mixedWireCluster(t)
+// TestRollbackItineraryOverWire runs a full itinerary — deposits on all
+// three nodes, then a partial rollback triggered on n2 — so every agent
+// transfer, 2PC round and shipped RCE list crosses a node boundary in
+// the binary wire format, and the per-kind wire accounting sees them.
+func TestRollbackItineraryOverWire(t *testing.T) {
+	cl := wireCluster(t)
 	it, err := itinerary.New(&itinerary.Sub{ID: "job", Entries: []itinerary.Entry{
 		itinerary.Step{Method: "mx.dep", Loc: "n1"},
 		itinerary.Step{Method: "mx.dep", Loc: "n2"},
@@ -105,7 +97,7 @@ func TestMixedWireVersionItinerary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, entered, err := agent.New("mixed-wire", "", it)
+	a, entered, err := agent.New("wire-itinerary", "", it)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +106,7 @@ func TestMixedWireVersionItinerary(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Failed {
-		t.Fatalf("agent failed across the mixed-version links: %s", res.Reason)
+		t.Fatalf("agent failed: %s", res.Reason)
 	}
 	var ok bool
 	if err := res.Agent.SRO.MustGet("mx.ok", &ok); err != nil || !ok {
@@ -138,7 +130,7 @@ func TestMixedWireVersionItinerary(t *testing.T) {
 		}
 	}
 	// Both 2PC rounds and agent transfers crossed the wire, and every
-	// send was attributed to its kind regardless of payload format.
+	// send was attributed to its kind.
 	s := cl.Counters().Snapshot()
 	if s.Messages == 0 {
 		t.Error("no messages recorded on the wire")

@@ -76,7 +76,6 @@ type Counters struct {
 	protocolTransitions atomic.Int64
 	timersArmed         atomic.Int64
 	timersFired         atomic.Int64
-	timersCanceled      atomic.Int64
 
 	// Membership / migration (internal/membership driven by
 	// internal/node's rebalancer) instrumentation.
@@ -151,7 +150,6 @@ type Snapshot struct {
 	ProtocolTransitions int64 // protocol state-machine events processed
 	TimersArmed         int64 // protocol timers armed on the wheel
 	TimersFired         int64 // protocol timers that fired
-	TimersCanceled      int64 // protocol timers canceled before firing
 
 	MemberAnnounces  int64 // membership announcements received over the wire
 	RingChanges      int64 // local ring rebuilds after a view change
@@ -335,9 +333,6 @@ func (c *Counters) IncTimerArmed() { c.timersArmed.Add(1) }
 
 // IncTimerFired records one protocol timer firing.
 func (c *Counters) IncTimerFired() { c.timersFired.Add(1) }
-
-// IncTimerCanceled records one protocol timer canceled before firing.
-func (c *Counters) IncTimerCanceled() { c.timersCanceled.Add(1) }
 
 // IncMemberAnnounce records one membership announcement received.
 func (c *Counters) IncMemberAnnounce() { c.memberAnnounces.Add(1) }
@@ -543,7 +538,6 @@ func (c *Counters) Snapshot() Snapshot {
 		ProtocolTransitions: c.protocolTransitions.Load(),
 		TimersArmed:         c.timersArmed.Load(),
 		TimersFired:         c.timersFired.Load(),
-		TimersCanceled:      c.timersCanceled.Load(),
 
 		MemberAnnounces:  c.memberAnnounces.Load(),
 		RingChanges:      c.ringChanges.Load(),
@@ -654,7 +648,6 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 		ProtocolTransitions: s.ProtocolTransitions - o.ProtocolTransitions,
 		TimersArmed:         s.TimersArmed - o.TimersArmed,
 		TimersFired:         s.TimersFired - o.TimersFired,
-		TimersCanceled:      s.TimersCanceled - o.TimersCanceled,
 
 		MemberAnnounces:  s.MemberAnnounces - o.MemberAnnounces,
 		RingChanges:      s.RingChanges - o.RingChanges,

@@ -15,10 +15,11 @@ import (
 // deterministically in deadline order.
 //
 // Schedule(id, d) arms (or re-arms) the timer id to fire after d on the
-// wheel's clock; Cancel disarms it. When a timer fires, the wheel calls
-// the fire callback with the id, outside the wheel's lock — the
-// callback may Schedule or Cancel freely. Each timer is one-shot: it
-// fires at most once per Schedule.
+// wheel's clock. When a timer fires, the wheel calls the fire callback
+// with the id, outside the wheel's lock — the callback may Schedule
+// freely. Each timer is one-shot: it fires at most once per Schedule.
+// There is no cancel: the protocol's timers retire lazily, a fire on
+// resolved state being a no-op.
 type TimerWheel struct {
 	clock Clock
 	fire  func(id string)
@@ -40,7 +41,6 @@ type TimerWheel struct {
 type TimerObserver interface {
 	IncTimerArmed()
 	IncTimerFired()
-	IncTimerCanceled()
 }
 
 type timerEntry struct {
@@ -101,21 +101,6 @@ func (w *TimerWheel) Schedule(id string, d time.Duration) {
 	w.wake()
 }
 
-// Cancel disarms timer id; a timer that already fired (or was never
-// armed) is a no-op.
-func (w *TimerWheel) Cancel(id string) {
-	w.mu.Lock()
-	e, ok := w.index[id]
-	if ok {
-		delete(w.index, id)
-		heap.Remove(&w.heap, e.pos)
-	}
-	w.mu.Unlock()
-	if ok && w.obs != nil {
-		w.obs.IncTimerCanceled()
-	}
-}
-
 // Len returns the number of armed timers.
 func (w *TimerWheel) Len() int {
 	w.mu.Lock()
@@ -161,7 +146,7 @@ func (w *TimerWheel) run() {
 			w.mu.Unlock()
 			// After is registered outside the lock: a VirtualClock
 			// Advance firing this waiter re-enters via the channel, and
-			// Schedule/Cancel must not block behind the registration.
+			// Schedule must not block behind the registration.
 			wait = w.clock.After(d)
 		} else {
 			w.mu.Unlock()

@@ -3,7 +3,9 @@ package network
 import (
 	"bufio"
 	"bytes"
+	"encoding/gob"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -225,7 +227,7 @@ func TestSimSendBatchToCrashedNode(t *testing.T) {
 	}
 }
 
-// --- TCP coalescing and interop ---------------------------------------
+// --- TCP coalescing and framing ----------------------------------------
 
 // tcpPairCfg is tcpPair with per-endpoint config overrides applied on
 // top of the bootstrap (name/listen/peers are filled in).
@@ -324,37 +326,43 @@ func TestTCPSendBatch(t *testing.T) {
 	}
 }
 
-// TestTCPLegacyGobInterop: a binary-framed endpoint and a LegacyGob
-// endpoint exchange messages in both directions — the receiver sniffs
-// each inbound connection's format from its first byte.
-func TestTCPLegacyGobInterop(t *testing.T) {
-	a, b := tcpPairCfg(t, TCPConfig{}, TCPConfig{LegacyGob: true})
-	if err := a.Send("b", "new-to-old", []byte("bin")); err != nil {
+// TestTCPRejectsNonFrameStream: an inbound connection whose first byte
+// is not wire.FrameMagic — here a well-formed persistent gob stream of
+// Messages, the retired transport format — is closed unread with nothing
+// delivered, and the endpoint keeps serving framed peers.
+func TestTCPRejectsNonFrameStream(t *testing.T) {
+	a, b := tcpPairCfg(t, TCPConfig{}, TCPConfig{})
+	conn, err := net.Dial("tcp", b.Addr())
+	if err != nil {
 		t.Fatal(err)
 	}
-	msg, ok := recvOne(t, b, 5*time.Second)
-	if !ok || msg.Kind != "new-to-old" || string(msg.Payload) != "bin" {
-		t.Fatalf("binary→gob endpoint: %+v, %v", msg, ok)
-	}
-	if err := b.Send("a", "old-to-new", []byte("gob")); err != nil {
+	defer conn.Close()
+	enc := gob.NewEncoder(conn)
+	if err := enc.Encode(&Message{From: "a", To: "b", Kind: "q.prepare", Payload: []byte{0}}); err != nil {
 		t.Fatal(err)
 	}
-	msg, ok = recvOne(t, a, 5*time.Second)
-	if !ok || msg.Kind != "old-to-new" || string(msg.Payload) != "gob" {
-		t.Fatalf("gob→binary endpoint: %+v, %v", msg, ok)
+	// Later writes may already hit the closed connection.
+	for i := 1; i < 3; i++ {
+		_ = enc.Encode(&Message{From: "a", To: "b", Kind: "q.prepare", Payload: []byte{byte(i)}})
 	}
-	// Bursts survive in both formats (the gob side coalesces through
-	// the same pending buffer).
-	for i := 0; i < 8; i++ {
-		if err := b.Send("a", "seq", []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
+	// The server closes its end: the read sees EOF (or a reset), not a
+	// deadline.
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < 8; i++ {
-		msg, ok := recvOne(t, a, 5*time.Second)
-		if !ok || msg.Payload[0] != byte(i) {
-			t.Fatalf("gob burst %d: %+v, %v", i, msg, ok)
-		}
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatal("server wrote to a non-frame connection")
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("non-frame connection left open")
+	}
+	if msg, ok := recvOne(t, b, 100*time.Millisecond); ok {
+		t.Fatalf("non-frame stream delivered %+v", msg)
+	}
+	if err := a.Send("b", "framed", []byte("ok")); err != nil {
+		t.Fatal(err)
+	}
+	if msg, ok := recvOne(t, b, 5*time.Second); !ok || msg.Kind != "framed" {
+		t.Fatalf("framed message after rejection: %+v, %v", msg, ok)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // dispatch is the message-handling goroutine: it decodes inbound
 // protocol messages into events for the protocol machine. There is no
 // ticker — every retry and in-doubt cycle runs on the node's timer
-// wheel, armed and canceled by the machine itself.
+// wheel, armed by the machine itself.
 func (n *Node) dispatch() {
 	for {
 		select {
@@ -41,10 +41,6 @@ func (n *Node) dispatch() {
 // returns, so a commit fan-out or an ack+status pair coalesces on the
 // wire instead of paying one network hop each.
 func (n *Node) step(ev protocol.Event) {
-	if n.cfg.NoCoalesce {
-		n.stepInto(ev, nil)
-		return
-	}
 	var b outBatch
 	n.stepInto(ev, &b)
 	b.flush(n)
@@ -84,12 +80,6 @@ func (n *Node) stepInto(ev protocol.Event, b *outBatch) {
 // machine under one shared outbound batch, so the replies to a
 // coalesced frame coalesce on the way back too.
 func (n *Node) stepAll(evs []protocol.Event) {
-	if n.cfg.NoCoalesce {
-		for _, ev := range evs {
-			n.stepInto(ev, nil)
-		}
-		return
-	}
 	var b outBatch
 	for _, ev := range evs {
 		n.stepInto(ev, &b)
@@ -110,8 +100,7 @@ func (n *Node) onTimer(id string) {
 		return
 	}
 	if tr := n.cfg.Tracer; tr != nil {
-		txnID, agentID := protocol.TimerInfo(id)
-		tr.Rec(trace.OpTimerFire, txnID, agentID, id, "", "", 0)
+		tr.Rec(trace.OpTimerFire, "", "", id, "", "", 0)
 	}
 	n.step(protocol.TimerFired{ID: id})
 }
@@ -119,9 +108,9 @@ func (n *Node) onTimer(id string) {
 // handle translates one wire message into a protocol event. All
 // decision logic lives in the machine; this switch only decodes and,
 // where a decision needs a stable-storage fact (the presumed-abort
-// decision record), reads it to enrich the event. Protocol payloads go
-// through protocol.Decode, which accepts both the binary fast path and
-// legacy gob — the node never needs to know which format a peer runs.
+// decision record), reads it to enrich the event. Every payload decodes
+// through its message's binary DecodeFrom; a payload in any other
+// format is dropped like a lost message.
 func (n *Node) handle(msg network.Message) {
 	if tr := n.cfg.Tracer; tr != nil {
 		tr.Rec(trace.OpWireRecv, "", "", msg.Kind, msg.From, "", int64(len(msg.Payload)))
@@ -129,25 +118,25 @@ func (n *Node) handle(msg network.Message) {
 	switch msg.Kind {
 	case protocol.KindEnqueuePrepare:
 		var req protocol.PrepareMsg
-		if err := protocol.Decode(msg.Payload, &req); err != nil {
+		if err := req.DecodeFrom(msg.Payload); err != nil {
 			return
 		}
 		n.step(protocol.PrepareReceived{TxnID: req.TxnID, EntryID: req.EntryID, From: msg.From, Data: req.Data})
 	case protocol.KindEnqueueCommit, protocol.KindEnqueueAbort:
 		var req protocol.CtlMsg
-		if err := protocol.Decode(msg.Payload, &req); err != nil {
+		if err := req.DecodeFrom(msg.Payload); err != nil {
 			return
 		}
 		n.step(protocol.CtlReceived{TxnID: req.TxnID, From: msg.From, Commit: msg.Kind == protocol.KindEnqueueCommit})
 	case protocol.KindRCECommit, protocol.KindRCEAbort:
 		var req protocol.CtlMsg
-		if err := protocol.Decode(msg.Payload, &req); err != nil {
+		if err := req.DecodeFrom(msg.Payload); err != nil {
 			return
 		}
 		n.step(protocol.CtlReceived{TxnID: req.TxnID, From: msg.From, Commit: msg.Kind == protocol.KindRCECommit, RCE: true})
 	case protocol.KindTxnQuery:
 		var req protocol.CtlMsg
-		if err := protocol.Decode(msg.Payload, &req); err != nil {
+		if err := req.DecodeFrom(msg.Payload); err != nil {
 			return
 		}
 		decided, err := n.mgr.Decided(req.TxnID)
@@ -160,7 +149,7 @@ func (n *Node) handle(msg network.Message) {
 		// per-transaction events the unbatched kinds produce; replies
 		// share one outbound batch.
 		var req protocol.CtlBatchMsg
-		if err := protocol.Decode(msg.Payload, &req); err != nil {
+		if err := req.DecodeFrom(msg.Payload); err != nil {
 			return
 		}
 		evs := make([]protocol.Event, 0, len(req.Items))
@@ -170,7 +159,7 @@ func (n *Node) handle(msg network.Message) {
 		n.stepAll(evs)
 	case protocol.KindQueryBatch:
 		var req protocol.QueryBatchMsg
-		if err := protocol.Decode(msg.Payload, &req); err != nil {
+		if err := req.DecodeFrom(msg.Payload); err != nil {
 			return
 		}
 		evs := make([]protocol.Event, 0, len(req.TxnIDs))
@@ -184,13 +173,13 @@ func (n *Node) handle(msg network.Message) {
 		n.stepAll(evs)
 	case protocol.KindTxnStatus:
 		var st protocol.StatusMsg
-		if err := protocol.Decode(msg.Payload, &st); err != nil {
+		if err := st.DecodeFrom(msg.Payload); err != nil {
 			return
 		}
 		n.step(protocol.StatusReceived{TxnID: st.TxnID, Committed: st.Committed})
 	case protocol.KindRCEExec:
 		var req protocol.RCEExecMsg
-		if err := protocol.Decode(msg.Payload, &req); err != nil {
+		if err := req.DecodeFrom(msg.Payload); err != nil {
 			return
 		}
 		n.step(protocol.RCEExecReceived{TxnID: req.TxnID, From: msg.From, Ops: req.Ops})
@@ -198,7 +187,7 @@ func (n *Node) handle(msg network.Message) {
 		protocol.KindEnqueueCommitAck, protocol.KindEnqueueAbortAck,
 		protocol.KindRCECommitAck, protocol.KindRCEAbortAck:
 		var ack protocol.AckMsg
-		if err := protocol.Decode(msg.Payload, &ack); err != nil {
+		if err := ack.DecodeFrom(msg.Payload); err != nil {
 			return
 		}
 		n.step(protocol.AckReceived{Kind: msg.Kind, TxnID: ack.TxnID, From: msg.From, OK: ack.OK, Err: ack.Err})
@@ -210,7 +199,7 @@ func (n *Node) handle(msg network.Message) {
 		}
 	case kindAgentDoneAck:
 		var ack protocol.AckMsg
-		if err := protocol.Decode(msg.Payload, &ack); err != nil {
+		if err := ack.DecodeFrom(msg.Payload); err != nil {
 			return
 		}
 		n.step(protocol.DoneAcked{AgentID: ack.TxnID})
@@ -220,7 +209,7 @@ func (n *Node) handle(msg network.Message) {
 // applyEffect executes one machine effect. Mechanics only — queue and
 // store operations, transaction settles, sends, timers; any outcome the
 // machine must know about loops back in as another event. Sends join
-// the enclosing transition's outbound batch b (nil with NoCoalesce).
+// the enclosing transition's outbound batch b.
 func (n *Node) applyEffect(eff protocol.Effect, b *outBatch) {
 	switch e := eff.(type) {
 	case protocol.SendMsg:
@@ -297,19 +286,10 @@ func (n *Node) applyEffect(eff protocol.Effect, b *outBatch) {
 		n.stageCtlOp(stableDelDone(e.AgentID))
 	case protocol.ArmTimer:
 		if tr := n.cfg.Tracer; tr != nil {
-			txnID, agentID := protocol.TimerInfo(e.ID)
-			tr.Rec(trace.OpTimerArm, txnID, agentID, e.ID, "", "", int64(e.D))
+			tr.Rec(trace.OpTimerArm, "", "", e.ID, "", "", int64(e.D))
 		}
 		if n.wheel != nil {
 			n.wheel.Schedule(e.ID, e.D)
-		}
-	case protocol.CancelTimer:
-		if tr := n.cfg.Tracer; tr != nil {
-			txnID, agentID := protocol.TimerInfo(e.ID)
-			tr.Rec(trace.OpTimerCancel, txnID, agentID, e.ID, "", "", 0)
-		}
-		if n.wheel != nil {
-			n.wheel.Cancel(e.ID)
 		}
 	case protocol.CountCompOps:
 		if n.cfg.Counters != nil {
@@ -357,8 +337,8 @@ func (n *Node) takeBranchTx(txnID string) *txn.Tx {
 }
 
 // sendDone (re)sends one durable completion record to its owner,
-// joining the enclosing transition's outbound batch when one is active
-// so a coalesced done-resend timer emits one frame group per owner.
+// joining the enclosing transition's outbound batch so a coalesced
+// done-resend timer emits one frame group per owner.
 func (n *Node) sendDone(b *outBatch, agentID string) {
 	raw, ok, err := n.store.Get(doneKey(agentID))
 	if err != nil || !ok {

@@ -11,7 +11,7 @@
 // network.TimerWheel per node turns timer-fire callbacks into events —
 // Machine.Step is always serialized under one mutex. The effects a
 // transition returns (outbound messages, staged-queue operations, branch
-// commits/aborts, decision-record GC, timer arm/cancel) are applied by
+// commits/aborts, decision-record GC, timer arms) are applied by
 // the same caller, outside the machine lock. Timers therefore cost O(1)
 // goroutines per node — not one polling loop per in-flight transaction —
 // and a network.VirtualClock advances every protocol timer
@@ -90,22 +90,6 @@ type Config struct {
 	// For the S16b ablation only — it demonstrably corrupts agents whose
 	// compensations produce information (see the baseline tests).
 	SagaBaseline bool
-	// WireGob forces gob encoding for all outbound payloads, disabling
-	// the binary fast-path codec. Inbound decoding always auto-detects,
-	// so a WireGob node and a binary node interoperate; the flag exists
-	// for rolling upgrades, A/B benchmarks and the mixed-version tests.
-	WireGob bool
-	// NoCoalesce sends each protocol message individually instead of
-	// grouping the sends of one machine transition per destination (the
-	// batching half of the wire fast path). A/B benchmarks only.
-	NoCoalesce bool
-	// NoCtlBatch disables the PR-10 cross-transaction control-plane
-	// batching end to end: the protocol machine arms per-transaction
-	// resend/query timers again (eagerly canceled), decision-record GC
-	// applies one store transaction per decision instead of staging into
-	// a group commit, and acks never linger for piggybacking. A/B
-	// benchmarks and the loadgen -noctlbatch flag only.
-	NoCtlBatch bool
 	// MigrateBurst bounds the migration hand-offs the rebalancer
 	// attempts per sweep, so one view change cannot convert the whole
 	// misplaced backlog into a single burst that spikes step latency.
@@ -120,7 +104,7 @@ type Config struct {
 	// Counters receives metrics; may be nil.
 	Counters *metrics.Counters
 	// Tracer receives the node's causal event records: every protocol
-	// transition, timer arm/fire/cancel, wire send/receive/batch-flush,
+	// transition, timer arm/fire, wire send/receive/batch-flush,
 	// and stable-transaction outcome. May be nil (all record calls are
 	// nil-safe and free). Build it over the same Clock as the node so
 	// traces are deterministic under a VirtualClock.
@@ -247,7 +231,6 @@ func New(cfg Config, ep network.Endpoint, store stable.Store, registry *agent.Re
 			Node:          cfg.Name,
 			RetryInterval: cfg.RetryDelay * 5,
 			StaleAfter:    2 * cfg.AckTimeout,
-			NoCtlBatch:    cfg.NoCtlBatch,
 		}),
 		factories: factories,
 		members:   cfg.Membership,
@@ -443,15 +426,10 @@ func payloadSubject(payload any) (txnID, agentID string) {
 }
 
 // sendTo routes a protocol send through the current transition's
-// outbound batch when one is active, so every message a machine
-// transition emits to the same destination rides one endpoint call (and
-// with the Sim, one mailbox hop; with TCP, usually one socket write).
-// With a nil batch — or NoCoalesce — it degenerates to send.
+// outbound batch, so every message a machine transition emits to the
+// same destination rides one endpoint call (and with the Sim, one
+// mailbox hop; with TCP, usually one socket write).
 func (n *Node) sendTo(b *outBatch, to, kind string, payload any) {
-	if b == nil {
-		n.send(to, kind, payload)
-		return
-	}
 	data, err := n.encodePayload(payload)
 	if err != nil {
 		return
@@ -464,17 +442,14 @@ func (n *Node) sendTo(b *outBatch, to, kind string, payload any) {
 }
 
 // encodePayload serializes one outbound payload: the hand-rolled binary
-// codec for the high-volume protocol messages (unless Config.WireGob
-// pins the legacy format), gob for everything else. Receivers sniff the
-// version byte, so both formats coexist on one link.
+// codec for every protocol, agent and launch message, gob only for the
+// membership announcement, whose receiver decodes it with gob.
 func (n *Node) encodePayload(payload any) ([]byte, error) {
 	if payload == nil {
 		return nil, nil
 	}
-	if !n.cfg.WireGob {
-		if bm, ok := payload.(wire.BinaryMessage); ok {
-			return bm.AppendTo(nil), nil
-		}
+	if bm, ok := payload.(wire.BinaryMessage); ok {
+		return bm.AppendTo(nil), nil
 	}
 	data, err := wire.Encode(payload)
 	if err != nil {

@@ -91,7 +91,7 @@ func TestRCEAbortOvertakesPrepare(t *testing.T) {
 			t.Fatalf("unexpected message %s", msg.Kind)
 		}
 		var ack protocol.AckMsg
-		if err := decodeInto(msg.Payload, &ack); err != nil {
+		if err := ack.DecodeFrom(msg.Payload); err != nil {
 			t.Fatal(err)
 		}
 		if ack.OK {
@@ -141,8 +141,4 @@ func TestRCEAbortOvertakesPrepare(t *testing.T) {
 	if stats.BranchesExec != 0 || stats.BranchesPrepared != 0 {
 		t.Errorf("stray branch state after resolution: %+v", stats)
 	}
-}
-
-func decodeInto(payload []byte, v any) error {
-	return protocol.Decode(payload, v)
 }

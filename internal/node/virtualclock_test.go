@@ -11,7 +11,6 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/resource"
 	"repro/internal/stable"
-	"repro/internal/wire"
 )
 
 // TestProtocolTimersOnVirtualClock drives the full in-doubt query cycle
@@ -72,10 +71,7 @@ func TestProtocolTimersOnVirtualClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := wire.Encode(&protocol.PrepareMsg{TxnID: "co#1", EntryID: a.ID, Data: data})
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := (&protocol.PrepareMsg{TxnID: "co#1", EntryID: a.ID, Data: data}).AppendTo(nil)
 	if err := coEp.Send("p", protocol.KindEnqueuePrepare, payload); err != nil {
 		t.Fatal(err)
 	}
@@ -90,18 +86,15 @@ func TestProtocolTimersOnVirtualClock(t *testing.T) {
 	// Each Advance past the retry interval fires exactly one query.
 	for i := 0; i < 3; i++ {
 		vc.Advance(50 * time.Millisecond)
-		if kind := recvKind(t, coEp, 2*time.Second); kind != protocol.KindTxnQuery {
-			t.Fatalf("advance %d: expected txn query, got %s", i, kind)
+		if kind := recvKind(t, coEp, 2*time.Second); kind != protocol.KindQueryBatch {
+			t.Fatalf("advance %d: expected query batch, got %s", i, kind)
 		}
 		assertNoMessage(t, coEp, 30*time.Millisecond)
 	}
 
 	// The verdict commits the stage; the agent runs to completion and
 	// the owner is notified immediately (no timer involved).
-	status, err := wire.Encode(&protocol.StatusMsg{TxnID: "co#1", Committed: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	status := (&protocol.StatusMsg{TxnID: "co#1", Committed: true}).AppendTo(nil)
 	if err := coEp.Send("p", protocol.KindTxnStatus, status); err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +115,7 @@ func TestProtocolTimersOnVirtualClock(t *testing.T) {
 	if err := ownEp.Send("p", KindAgentDoneAck, ack); err != nil {
 		t.Fatal(err)
 	}
-	// Give the ack a moment to cancel the timer, then advance: silence.
+	// Give the ack a moment to retire the resend, then advance: silence.
 	time.Sleep(50 * time.Millisecond)
 	vc.Advance(200 * time.Millisecond)
 	assertNoMessage(t, ownEp, 80*time.Millisecond)
@@ -180,10 +173,7 @@ func TestQueryBatchOnVirtualClock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload, err := wire.Encode(&protocol.PrepareMsg{TxnID: txn, EntryID: a.ID, Data: data})
-		if err != nil {
-			t.Fatal(err)
-		}
+		payload := (&protocol.PrepareMsg{TxnID: txn, EntryID: a.ID, Data: data}).AppendTo(nil)
 		if err := coEp.Send("p", protocol.KindEnqueuePrepare, payload); err != nil {
 			t.Fatal(err)
 		}
@@ -198,12 +188,16 @@ func TestQueryBatchOnVirtualClock(t *testing.T) {
 	assertNoMessage(t, coEp, 80*time.Millisecond)
 
 	// First fire drains only the first entry (the second was enqueued
-	// while the timer ticked and is promoted): a lone survivor still
-	// travels as the legacy single-transaction query.
+	// while the timer ticked and is promoted): the lone survivor travels
+	// as a one-transaction query.batch frame.
 	vc.Advance(50 * time.Millisecond)
 	msg := recvMsg(t, coEp, 2*time.Second)
-	if msg.Kind != protocol.KindTxnQuery {
-		t.Fatalf("first advance: expected %s, got %s", protocol.KindTxnQuery, msg.Kind)
+	var qb protocol.QueryBatchMsg
+	if msg.Kind != protocol.KindQueryBatch {
+		t.Fatalf("first advance: expected %s, got %s", protocol.KindQueryBatch, msg.Kind)
+	}
+	if err := qb.DecodeFrom(msg.Payload); err != nil || len(qb.TxnIDs) != 1 || qb.TxnIDs[0] != "co#1" {
+		t.Fatalf("first advance: query batch %v (%v), want [co#1]", qb.TxnIDs, err)
 	}
 
 	// Second fire finds both due: exactly one query.batch frame naming
@@ -213,8 +207,7 @@ func TestQueryBatchOnVirtualClock(t *testing.T) {
 	if msg.Kind != protocol.KindQueryBatch {
 		t.Fatalf("second advance: expected %s, got %s", protocol.KindQueryBatch, msg.Kind)
 	}
-	var qb protocol.QueryBatchMsg
-	if err := protocol.Decode(msg.Payload, &qb); err != nil {
+	if err := qb.DecodeFrom(msg.Payload); err != nil {
 		t.Fatalf("decode query batch: %v", err)
 	}
 	got := map[string]bool{}
@@ -228,10 +221,7 @@ func TestQueryBatchOnVirtualClock(t *testing.T) {
 
 	// Presumed abort resolves both; the next fire drains to silence.
 	for _, txn := range []string{"co#1", "co#2"} {
-		status, err := wire.Encode(&protocol.StatusMsg{TxnID: txn, Committed: false})
-		if err != nil {
-			t.Fatal(err)
-		}
+		status := (&protocol.StatusMsg{TxnID: txn, Committed: false}).AppendTo(nil)
 		if err := coEp.Send("p", protocol.KindTxnStatus, status); err != nil {
 			t.Fatal(err)
 		}

@@ -11,12 +11,8 @@ import (
 // Hand-rolled binary codec for the high-volume protocol messages. Every
 // payload is wire.BinaryVersion, a type byte from the table below, then
 // the struct fields in declaration order via the wire varint helpers.
-// The legacy gob encoding remains valid on the wire forever: the
-// version byte cannot start a gob stream, so Decode routes each payload
-// by its first byte and mixed-version links interoperate (a gob-only
-// peer's messages decode here; enabling the binary *encoder* requires
-// peers at least at this decoder version — see DESIGN.md "Wire
-// format").
+// The receiver calls the expected message's DecodeFrom directly; a
+// payload in any other format fails with wire.ErrCorrupt.
 //
 // Type bytes (protocol block 0x01..0x0f; never renumber):
 const (
@@ -36,22 +32,6 @@ const (
 	// TypeQueryBatch carries QueryBatchMsg (query.batch).
 	TypeQueryBatch byte = 0x07
 )
-
-// Decode decodes one inbound payload into v, taking the binary fast
-// path when the payload starts with the binary version byte and falling
-// back to gob otherwise. This is the dispatcher's single entry point,
-// so a node decodes both its own wire format and a previous-version
-// (gob-only) peer's transparently.
-func Decode(data []byte, v any) error {
-	if wire.Binary(data) {
-		bm, ok := v.(wire.BinaryMessage)
-		if !ok {
-			return fmt.Errorf("%w: binary payload for %T without a binary codec", wire.ErrCorrupt, v)
-		}
-		return bm.DecodeFrom(data)
-	}
-	return wire.Decode(data, v)
-}
 
 // --- PrepareMsg -------------------------------------------------------
 
@@ -170,7 +150,7 @@ func (m *RCEExecMsg) AppendTo(buf []byte) []byte {
 	buf = wire.AppendUvarint(buf, uint64(len(m.Ops)))
 	for _, op := range m.Ops {
 		if op == nil {
-			// gob flattens a nil pointer to the zero value; match it.
+			// A nil entry travels as the zero value.
 			op = &core.OpEntry{}
 		}
 		buf = op.AppendTo(buf)

@@ -47,7 +47,7 @@ func fastPathMessages() []struct {
 func TestBinaryCodecRoundTrip(t *testing.T) {
 	for _, tc := range fastPathMessages() {
 		enc := tc.msg.AppendTo(nil)
-		if !wire.Binary(enc) {
+		if len(enc) < 2 || enc[0] != wire.BinaryVersion {
 			t.Fatalf("%s: encoding does not carry the binary version byte", tc.name)
 		}
 		got := tc.zero()
@@ -57,56 +57,46 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, tc.msg) {
 			t.Fatalf("%s: round trip mismatch\n got %#v\nwant %#v", tc.name, got, tc.msg)
 		}
-		// Decode must also route through the generic entry point.
-		got2 := tc.zero()
-		if err := Decode(enc, got2); err != nil {
-			t.Fatalf("%s: Decode: %v", tc.name, err)
-		}
-		if !reflect.DeepEqual(got2, tc.msg) {
-			t.Fatalf("%s: Decode mismatch", tc.name)
-		}
 	}
 }
 
-// TestBinaryCodecGobEquivalence checks both wire formats round-trip to the
-// same value — the fallback path must be semantically interchangeable.
-func TestBinaryCodecGobEquivalence(t *testing.T) {
+// TestBinaryCodecReencodeStable: re-encoding a decoded message yields
+// the original bytes, and decoding those again yields the same value —
+// the codec has one canonical form per value.
+func TestBinaryCodecReencodeStable(t *testing.T) {
 	for _, tc := range fastPathMessages() {
-		gobEnc, err := wire.Encode(tc.msg)
-		if err != nil {
-			t.Fatalf("%s: gob encode: %v", tc.name, err)
+		enc := tc.msg.AppendTo(nil)
+		once := tc.zero()
+		if err := once.DecodeFrom(enc); err != nil {
+			t.Fatalf("%s: decode: %v", tc.name, err)
 		}
-		viaGob, viaBin := tc.zero(), tc.zero()
-		if err := Decode(gobEnc, viaGob); err != nil {
-			t.Fatalf("%s: gob decode: %v", tc.name, err)
+		again := once.AppendTo(nil)
+		if !bytes.Equal(again, enc) {
+			t.Fatalf("%s: re-encoding differs\n got %x\nwant %x", tc.name, again, enc)
 		}
-		if err := Decode(tc.msg.AppendTo(nil), viaBin); err != nil {
-			t.Fatalf("%s: binary decode: %v", tc.name, err)
+		twice := tc.zero()
+		if err := twice.DecodeFrom(again); err != nil {
+			t.Fatalf("%s: decode of re-encoding: %v", tc.name, err)
 		}
-		if !reflect.DeepEqual(viaGob, viaBin) {
-			t.Fatalf("%s: formats disagree\n gob %#v\n bin %#v", tc.name, viaGob, viaBin)
+		if !reflect.DeepEqual(once, twice) {
+			t.Fatalf("%s: second round trip changed the value", tc.name)
 		}
 	}
 }
 
-// TestBinaryCodecEmptyFieldsMatchGob pins the empty→nil convention: a gob
-// round trip turns empty slices/maps into nil, and the binary decoders
-// must produce the same shape or differential comparisons break.
-func TestBinaryCodecEmptyFieldsMatchGob(t *testing.T) {
-	src := &RCEExecMsg{TxnID: "t", Ops: []*core.OpEntry{{Op: "x", Params: core.Params{}}}}
-	viaGob, viaBin := &RCEExecMsg{}, &RCEExecMsg{}
-	gobEnc, err := wire.Encode(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Decode(gobEnc, viaGob); err != nil {
-		t.Fatal(err)
-	}
-	if err := Decode(src.AppendTo(nil), viaBin); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(viaGob, viaBin) {
-		t.Fatalf("empty-field shapes disagree\n gob %#v\n bin %#v", viaGob.Ops[0], viaBin.Ops[0])
+// TestBinaryCodecEmptyFieldShapes pins the shapes empty fields decode
+// to: a map's count is shifted so an empty Params map and a nil one stay
+// distinct, while an empty byte slice decodes as nil.
+func TestBinaryCodecEmptyFieldShapes(t *testing.T) {
+	for _, params := range []core.Params{nil, {}} {
+		src := &RCEExecMsg{TxnID: "t", Ops: []*core.OpEntry{{Op: "x", Params: params}}}
+		dst := &RCEExecMsg{}
+		if err := dst.DecodeFrom(src.AppendTo(nil)); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(dst, src) {
+			t.Fatalf("Params %#v decoded as %#v", params, dst.Ops[0].Params)
+		}
 	}
 
 	p := &PrepareMsg{TxnID: "t", Data: []byte{}}
@@ -151,11 +141,6 @@ func TestBinaryCodecRejectsCorruptInput(t *testing.T) {
 	var rce RCEExecMsg
 	if err := rce.DecodeFrom(bad); !errors.Is(err, wire.ErrCorrupt) {
 		t.Fatalf("giant op count: got %v", err)
-	}
-	// Binary payload routed into a type without a codec.
-	var part Participant
-	if err := Decode(enc, &part); !errors.Is(err, wire.ErrCorrupt) {
-		t.Fatalf("codec-less target: got %v", err)
 	}
 }
 

@@ -8,19 +8,55 @@ import (
 	"repro/internal/protocol"
 )
 
-// newReady builds a ready machine in legacy per-transaction timer mode
-// (NoCtlBatch): the tests below pin the exact per-txn arm/cancel
-// behaviour that mode keeps. The coalesced default is covered by
-// timers_test.go.
+const (
+	retryInterval = 50 * time.Millisecond
+	staleAfter    = 300 * time.Millisecond
+)
+
+// newReady builds a ready machine. Retries run on the per-(class, peer)
+// timer slots of timers.go: the lifecycle tests below pin which slot
+// each obligation arms ("pctl|", "pquery|", "pstale|", "pdone|" + peer)
+// and that every slot drains once its subjects resolve.
 func newReady(node string) *protocol.Machine {
 	m := protocol.NewMachine(protocol.Config{
 		Node:          node,
-		RetryInterval: 50 * time.Millisecond,
-		StaleAfter:    300 * time.Millisecond,
-		NoCtlBatch:    true,
+		RetryInterval: retryInterval,
+		StaleAfter:    staleAfter,
 	})
 	m.Step(protocol.ReadyReached{})
 	return m
+}
+
+// armed returns the single ArmTimer effect in effs, failing otherwise.
+func armed(t *testing.T, effs []protocol.Effect) protocol.ArmTimer {
+	t.Helper()
+	arms := pick[protocol.ArmTimer](effs)
+	if len(arms) != 1 {
+		t.Fatalf("armed %d timers, want 1: %+v", len(arms), effs)
+	}
+	return arms[0]
+}
+
+// batchTxns returns the transaction IDs a single batched resend frame
+// carries (ctl.batch or query.batch), failing on anything else.
+func batchTxns(t *testing.T, effs []protocol.Effect, to, kind string) []string {
+	t.Helper()
+	sends := pick[protocol.SendMsg](effs)
+	if len(sends) != 1 || sends[0].To != to || sends[0].Kind != kind {
+		t.Fatalf("sends = %+v, want one %s to %s", sends, kind, to)
+	}
+	var ids []string
+	switch p := sends[0].Payload.(type) {
+	case *protocol.CtlBatchMsg:
+		for _, it := range p.Items {
+			ids = append(ids, it.TxnID)
+		}
+	case *protocol.QueryBatchMsg:
+		ids = p.TxnIDs
+	default:
+		t.Fatalf("payload %T is not a batch frame", p)
+	}
+	return ids
 }
 
 // pick returns all effects of type T, in emission order.
@@ -60,26 +96,38 @@ func TestCoordinatorLifecycle(t *testing.T) {
 		t.Fatalf("decided query = %+v", effs)
 	}
 
-	// Decide commit with two participants: two ctl sends + retry timer.
+	// Decide commit with two participants: two per-transaction ctl sends
+	// and one resend slot per participant peer.
 	parts := []protocol.Participant{
 		{Node: "p", Kind: protocol.PartQueue},
 		{Node: "r", Kind: protocol.PartRCE},
 	}
 	effs = m.Step(protocol.CoordDecided{TxnID: txn, Commit: true, Parts: parts})
-	if got := pick[protocol.SendMsg](effs); len(got) != 2 {
+	sends = pick[protocol.SendMsg](effs)
+	if len(sends) != 2 || sends[0].Kind != protocol.KindEnqueueCommit || sends[1].Kind != protocol.KindRCECommit {
 		t.Fatalf("decided effects = %+v", effs)
 	}
-	if got := pick[protocol.ArmTimer](effs); len(got) != 1 {
-		t.Fatalf("no ctl retry timer armed: %+v", effs)
+	arms := pick[protocol.ArmTimer](effs)
+	if len(arms) != 2 || arms[0].ID != "pctl|p" || arms[1].ID != "pctl|r" || arms[0].D != retryInterval {
+		t.Fatalf("ctl resend slots armed %+v, want pctl|p and pctl|r", arms)
 	}
 	if s := m.Stats(); s.CoordActive != 0 || s.CoordPendingCtl != 1 {
 		t.Fatalf("stats after decide: %+v", s)
 	}
+	if m.SchedSlots() != 2 {
+		t.Fatalf("SchedSlots = %d, want 2", m.SchedSlots())
+	}
 
-	// The retry timer resends only the outstanding controls.
-	effs = m.Step(protocol.TimerFired{ID: "ctl|" + txn})
-	if got := pick[protocol.SendMsg](effs); len(got) != 2 {
-		t.Fatalf("timer resend = %+v", effs)
+	// Each peer's resend timer resends its outstanding control and
+	// re-arms.
+	for _, peer := range []string{"p", "r"} {
+		effs = m.Step(protocol.TimerFired{ID: "pctl|" + peer})
+		if ids := batchTxns(t, effs, peer, protocol.KindCtlBatch); len(ids) != 1 || ids[0] != txn {
+			t.Fatalf("pctl|%s resent %v, want [%s]", peer, ids, txn)
+		}
+		if a := armed(t, effs); a.ID != "pctl|"+peer {
+			t.Fatalf("pctl|%s re-armed %q", peer, a.ID)
+		}
 	}
 
 	// A query whose store read raced the commit (StoreDecided=false but
@@ -111,18 +159,24 @@ func TestCoordinatorLifecycle(t *testing.T) {
 	if effs := m.Step(protocol.AckReceived{Kind: protocol.KindEnqueueCommitAck, TxnID: txn, From: "p", OK: true}); len(effs) != 0 {
 		t.Fatalf("duplicate ack produced effects: %+v", effs)
 	}
-	// Last ack clears the decision record and the timer.
+	// Last ack clears the decision record; the resend entries retire
+	// lazily, so nothing else is emitted.
 	effs = m.Step(protocol.AckReceived{Kind: protocol.KindRCECommitAck, TxnID: txn, From: "r", OK: true})
-	if len(pick[protocol.ClearDecision](effs)) != 1 || len(pick[protocol.CancelTimer](effs)) != 1 {
+	if len(effs) != 1 || len(pick[protocol.ClearDecision](effs)) != 1 {
 		t.Fatalf("final ack effects = %+v", effs)
 	}
 	if s := m.Stats(); s.CoordPendingCtl != 0 {
 		t.Fatalf("pending ctl after all acks: %+v", s)
 	}
-	// Fired timer for the settled transaction does nothing (one-shot,
-	// self-healing).
-	if effs := m.Step(protocol.TimerFired{ID: "ctl|" + txn}); len(effs) != 0 {
-		t.Fatalf("stale ctl timer produced effects: %+v", effs)
+	// The fires already armed for the settled transaction do nothing
+	// and do not re-arm (one-shot, self-healing): the slots drain.
+	for _, peer := range []string{"p", "r"} {
+		if effs := m.Step(protocol.TimerFired{ID: "pctl|" + peer}); len(effs) != 0 {
+			t.Fatalf("stale pctl|%s fire produced effects: %+v", peer, effs)
+		}
+	}
+	if m.SchedSlots() != 0 {
+		t.Fatalf("SchedSlots = %d after settlement, want 0", m.SchedSlots())
 	}
 
 	// Forgotten transaction: presumed abort.
@@ -145,8 +199,8 @@ func TestCoordinatorAbortNotifiesOnce(t *testing.T) {
 	if got := pick[protocol.ArmTimer](effs); len(got) != 0 {
 		t.Fatalf("abort armed a retry timer: %+v", effs)
 	}
-	if s := m.Stats(); s.CoordActive != 0 || s.CoordPendingCtl != 0 {
-		t.Fatalf("coordinator state lingers after abort: %+v", s)
+	if s := m.Stats(); s.CoordActive != 0 || s.CoordPendingCtl != 0 || m.SchedSlots() != 0 {
+		t.Fatalf("coordinator state lingers after abort: %+v, %d slots", s, m.SchedSlots())
 	}
 }
 
@@ -160,39 +214,38 @@ func TestParticipantStagedLifecycle(t *testing.T) {
 		t.Fatalf("prepare effects = %+v", effs)
 	}
 	effs = m.Step(protocol.StageOutcome{TxnID: txn, OK: true})
-	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "staged|"+txn {
-		t.Fatalf("stage outcome effects = %+v", effs)
+	if a := armed(t, effs); a.ID != "pquery|co" || a.D != retryInterval {
+		t.Fatalf("stage outcome armed %+v, want pquery|co", a)
 	}
 	if s := m.Stats(); s.Staged != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
 
 	// The in-doubt timer queries the coordinator and re-arms.
-	effs = m.Step(protocol.TimerFired{ID: "staged|" + txn})
-	q := pick[protocol.SendMsg](effs)
-	if len(q) != 1 || q[0].Kind != protocol.KindTxnQuery || q[0].To != "co" {
-		t.Fatalf("staged timer effects = %+v", effs)
+	effs = m.Step(protocol.TimerFired{ID: "pquery|co"})
+	if ids := batchTxns(t, effs, "co", protocol.KindQueryBatch); len(ids) != 1 || ids[0] != txn {
+		t.Fatalf("in-doubt query asked about %v, want [%s]", ids, txn)
 	}
-	if len(pick[protocol.ArmTimer](effs)) != 1 {
-		t.Fatalf("staged timer did not re-arm: %+v", effs)
+	if a := armed(t, effs); a.ID != "pquery|co" {
+		t.Fatalf("query timer re-armed %q", a.ID)
 	}
 
-	// The commit control resolves the stage, acks with the outcome, and
-	// cancels the query cycle.
+	// The commit control resolves the stage and acks with the outcome;
+	// the query obligation retires lazily.
 	effs = m.Step(protocol.CtlReceived{TxnID: txn, From: "co", Commit: true})
 	res := pick[protocol.ResolveStaged](effs)
-	if len(res) != 1 || !res[0].Commit || res[0].AckTo != "co" || res[0].AckKind != protocol.KindEnqueueCommitAck {
+	if len(effs) != 1 || len(res) != 1 || !res[0].Commit || res[0].AckTo != "co" || res[0].AckKind != protocol.KindEnqueueCommitAck {
 		t.Fatalf("ctl effects = %+v", effs)
-	}
-	if len(pick[protocol.CancelTimer](effs)) != 1 {
-		t.Fatalf("staged timer not canceled: %+v", effs)
 	}
 	if s := m.Stats(); s.Staged != 0 {
 		t.Fatalf("staged state lingers: %+v", s)
 	}
-	// The timer that may already be in flight self-heals.
-	if effs := m.Step(protocol.TimerFired{ID: "staged|" + txn}); len(effs) != 0 {
-		t.Fatalf("stale staged timer produced effects: %+v", effs)
+	// The timer already in flight self-heals and the slot drains.
+	if effs := m.Step(protocol.TimerFired{ID: "pquery|co"}); len(effs) != 0 {
+		t.Fatalf("stale query timer produced effects: %+v", effs)
+	}
+	if m.SchedSlots() != 0 {
+		t.Fatalf("SchedSlots = %d after resolution, want 0", m.SchedSlots())
 	}
 }
 
@@ -228,8 +281,8 @@ func TestRCEBranchHappyPath(t *testing.T) {
 	if len(acks) != 1 || !acks[0].Payload.(*protocol.AckMsg).OK {
 		t.Fatalf("prepared effects = %+v", effs)
 	}
-	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "branch|"+txn {
-		t.Fatalf("stale-branch timer not armed: %+v", effs)
+	if a := armed(t, effs); a.ID != "pstale|co" || a.D != staleAfter {
+		t.Fatalf("stale-branch timer armed %+v, want pstale|co after StaleAfter", a)
 	}
 	if got := pick[protocol.CountCompOps](effs); len(got) != 1 || got[0].N != 1 {
 		t.Fatalf("comp ops not counted: %+v", effs)
@@ -248,8 +301,18 @@ func TestRCEBranchHappyPath(t *testing.T) {
 	if acks := pick[protocol.SendMsg](effs); len(acks) != 1 || acks[0].Kind != protocol.KindRCECommitAck {
 		t.Fatalf("commit ctl ack = %+v", effs)
 	}
+	if got := pick[protocol.ArmTimer](effs); len(got) != 0 {
+		t.Fatalf("commit ctl armed %+v, want lazy retirement", got)
+	}
 	if s := m.Stats(); s.BranchesPrepared != 0 {
 		t.Fatalf("branch state lingers: %+v", s)
+	}
+	// The pending stale check finds nothing prepared and drains.
+	if effs := m.Step(protocol.TimerFired{ID: "pstale|co"}); len(effs) != 0 {
+		t.Fatalf("stale check after commit produced effects: %+v", effs)
+	}
+	if m.SchedSlots() != 0 {
+		t.Fatalf("SchedSlots = %d after commit, want 0", m.SchedSlots())
 	}
 }
 
@@ -258,28 +321,43 @@ func TestRCEStaleBranchQueriesCoordinator(t *testing.T) {
 	const txn = "co#6"
 	m.Step(protocol.RCEExecReceived{TxnID: txn, From: "co", Ops: nil})
 	m.Step(protocol.BranchPrepared{TxnID: txn, OK: true})
-	effs := m.Step(protocol.TimerFired{ID: "branch|" + txn})
-	q := pick[protocol.SendMsg](effs)
-	if len(q) != 1 || q[0].Kind != protocol.KindTxnQuery || q[0].To != "co" {
-		t.Fatalf("stale branch timer = %+v", effs)
+	effs := m.Step(protocol.TimerFired{ID: "pstale|co"})
+	if ids := batchTxns(t, effs, "co", protocol.KindQueryBatch); len(ids) != 1 || ids[0] != txn {
+		t.Fatalf("stale branch queried %v, want [%s]", ids, txn)
 	}
-	if len(pick[protocol.ArmTimer](effs)) != 1 {
-		t.Fatalf("stale branch timer did not re-arm: %+v", effs)
+	// The branch moves onto the coordinator's query cadence.
+	if a := armed(t, effs); a.ID != "pquery|co" || a.D != retryInterval {
+		t.Fatalf("stale branch armed %+v, want pquery|co", a)
+	}
+	effs = m.Step(protocol.TimerFired{ID: "pquery|co"})
+	if ids := batchTxns(t, effs, "co", protocol.KindQueryBatch); len(ids) != 1 || ids[0] != txn {
+		t.Fatalf("query cadence asked about %v, want [%s]", ids, txn)
 	}
 	// Presumed abort resolves it.
 	effs = m.Step(protocol.StatusReceived{TxnID: txn, Committed: false})
 	if got := pick[protocol.AbortBranch](effs); len(got) != 1 {
 		t.Fatalf("status abort = %+v", effs)
 	}
+	if effs := m.Step(protocol.TimerFired{ID: "pquery|co"}); len(effs) != 0 {
+		t.Fatalf("query after verdict produced effects: %+v", effs)
+	}
+	if m.SchedSlots() != 0 {
+		t.Fatalf("SchedSlots = %d after verdict, want 0", m.SchedSlots())
+	}
 }
 
 func TestRecoveredBranchResolution(t *testing.T) {
 	m := newReady("p")
 	const txn = "co#7"
+	// Recovery asks once immediately (a per-transaction query), then
+	// joins the coordinator's query cadence.
 	effs := m.Step(protocol.RecoveredBranch{TxnID: txn})
 	q := pick[protocol.SendMsg](effs)
-	if len(q) != 1 || q[0].Kind != protocol.KindTxnQuery {
+	if len(q) != 1 || q[0].Kind != protocol.KindTxnQuery || q[0].Payload.(*protocol.CtlMsg).TxnID != txn {
 		t.Fatalf("recovered branch = %+v", effs)
+	}
+	if a := armed(t, effs); a.ID != "pquery|co" {
+		t.Fatalf("recovered branch armed %q, want pquery|co", a.ID)
 	}
 	if s := m.Stats(); s.BranchesInDoubt != 1 {
 		t.Fatalf("stats = %+v", s)
@@ -292,27 +370,33 @@ func TestRecoveredBranchResolution(t *testing.T) {
 	if s := m.Stats(); s.BranchesInDoubt != 0 {
 		t.Fatalf("in-doubt state lingers: %+v", s)
 	}
+	if effs := m.Step(protocol.TimerFired{ID: "pquery|co"}); len(effs) != 0 {
+		t.Fatalf("query after resolution produced effects: %+v", effs)
+	}
+	if m.SchedSlots() != 0 {
+		t.Fatalf("SchedSlots = %d after resolution, want 0", m.SchedSlots())
+	}
 }
 
 func TestNotifierResendCycle(t *testing.T) {
 	m := newReady("n")
 	effs := m.Step(protocol.DoneRecorded{AgentID: "a1", Owner: "own"})
-	if len(pick[protocol.ResendDone](effs)) != 1 || len(pick[protocol.ArmTimer](effs)) != 1 {
+	if len(pick[protocol.ResendDone](effs)) != 1 || armed(t, effs).ID != "pdone|own" {
 		t.Fatalf("done recorded = %+v", effs)
 	}
-	effs = m.Step(protocol.TimerFired{ID: "done|a1"})
-	if len(pick[protocol.ResendDone](effs)) != 1 || len(pick[protocol.ArmTimer](effs)) != 1 {
+	effs = m.Step(protocol.TimerFired{ID: "pdone|own"})
+	if r := pick[protocol.ResendDone](effs); len(r) != 1 || r[0].AgentID != "a1" || armed(t, effs).ID != "pdone|own" {
 		t.Fatalf("done timer = %+v", effs)
 	}
 	effs = m.Step(protocol.DoneAcked{AgentID: "a1"})
-	if len(pick[protocol.DropDone](effs)) != 1 || len(pick[protocol.CancelTimer](effs)) != 1 {
+	if len(effs) != 1 || len(pick[protocol.DropDone](effs)) != 1 {
 		t.Fatalf("done acked = %+v", effs)
 	}
-	if effs := m.Step(protocol.TimerFired{ID: "done|a1"}); len(effs) != 0 {
+	if effs := m.Step(protocol.TimerFired{ID: "pdone|own"}); len(effs) != 0 {
 		t.Fatalf("stale done timer = %+v", effs)
 	}
-	if s := m.Stats(); s.DonePending != 0 {
-		t.Fatalf("done state lingers: %+v", s)
+	if s := m.Stats(); s.DonePending != 0 || m.SchedSlots() != 0 {
+		t.Fatalf("done state lingers: %+v, %d slots", s, m.SchedSlots())
 	}
 }
 
@@ -321,7 +405,7 @@ func TestSelfCoordinatedStagedSkipsQueryCycle(t *testing.T) {
 	// A transaction coordinated by this very node never queries itself.
 	m.Step(protocol.PrepareReceived{TxnID: "p#9", EntryID: "a", From: "p", Data: nil})
 	effs := m.Step(protocol.StageOutcome{TxnID: "p#9", OK: true})
-	if len(pick[protocol.ArmTimer](effs)) != 0 {
+	if len(pick[protocol.ArmTimer](effs)) != 0 || m.SchedSlots() != 0 {
 		t.Fatalf("self-coordinated staged armed a query timer: %+v", effs)
 	}
 }

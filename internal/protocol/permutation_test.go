@@ -1,6 +1,8 @@
 package protocol_test
 
 import (
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -13,11 +15,12 @@ import (
 // no store, no clock — an abort that lands during the branch lifetime
 // must never leave a prepared, lock-holding branch behind, and a
 // prepared branch that escapes (abort delivered before the execution
-// even started) must carry the stale-branch query timer that resolves
-// it. The driver contract is modeled explicitly: an execution
-// completion can only be delivered after the machine emitted the
-// matching ExecBranch effect, and parked transactions are tracked
-// through the Commit/AbortBranch effects.
+// even started) must be covered by the coordinator's stale/query timers:
+// firing them asks the coordinator about it, which resolves it. The
+// driver contract is modeled explicitly: an execution completion can
+// only be delivered after the machine emitted the matching ExecBranch
+// effect, and parked transactions are tracked through the
+// Commit/AbortBranch effects.
 func TestRCEAbortPermutations(t *testing.T) {
 	// Event alphabets: e = exec request, p = execution completes
 	// (prepared OK), a = abort verdict (coordinator's presumed abort).
@@ -63,11 +66,11 @@ func runRCEPermutation(t *testing.T, seq []byte) {
 	const txn = "co#1"
 	ops := []*core.OpEntry{{Kind: core.OpResource, Op: "c"}}
 
-	outstanding := 0         // ExecBranch effects not yet completed
-	parked := false          // a prepared branch transaction is parked (driver side)
-	timerArmed := false      // branch|txn timer currently armed
-	abortSeen := false       // an abort verdict was delivered...
-	abortDuringLife := false // ...while the machine held branch state
+	outstanding := 0           // ExecBranch effects not yet completed
+	parked := false            // a prepared branch transaction is parked (driver side)
+	armed := map[string]bool{} // timer IDs armed and not yet fired
+	abortSeen := false         // an abort verdict was delivered...
+	abortDuringLife := false   // ...while the machine held branch state
 
 	apply := func(effs []protocol.Effect) {
 		for _, eff := range effs {
@@ -79,13 +82,7 @@ func runRCEPermutation(t *testing.T, seq []byte) {
 			case protocol.AbortBranch:
 				parked = false
 			case protocol.ArmTimer:
-				if e.ID == "branch|"+txn {
-					timerArmed = true
-				}
-			case protocol.CancelTimer:
-				if e.ID == "branch|"+txn {
-					timerArmed = false
-				}
+				armed[e.ID] = true
 			}
 		}
 	}
@@ -123,6 +120,10 @@ func runRCEPermutation(t *testing.T, seq []byte) {
 	if st.BranchesExec != 0 {
 		t.Fatalf("%s: execution state lingers: %+v", name, st)
 	}
+	timerArmed := false // the armed timers, fired, query the coordinator about txn
+	if parked || st.BranchesPrepared > 0 {
+		timerArmed = firesQuery(m, armed, txn)
+	}
 	if abortDuringLife {
 		// The heart of the PR-4 fix: an abort that overlapped the branch
 		// lifetime must leave nothing prepared and nothing parked...
@@ -146,6 +147,34 @@ func runRCEPermutation(t *testing.T, seq []byte) {
 	if parked && st.BranchesPrepared == 0 {
 		t.Fatalf("%s: parked transaction with no machine state to settle it", name)
 	}
+}
+
+// firesQuery fires the armed timers — and those their fires arm — until
+// one sends an in-doubt query for txn (true) or none is left (false).
+// Retirement is lazy, so a slot may need a fire to promote its pending
+// bucket before the entry comes due; a few rounds cover that.
+func firesQuery(m *protocol.Machine, armed map[string]bool, txn string) bool {
+	for round := 0; round < 4 && len(armed) > 0; round++ {
+		ids := make([]string, 0, len(armed))
+		for id := range armed {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids)
+		for _, id := range ids {
+			delete(armed, id)
+			for _, eff := range m.Step(protocol.TimerFired{ID: id}) {
+				switch e := eff.(type) {
+				case protocol.ArmTimer:
+					armed[e.ID] = true
+				case protocol.SendMsg:
+					if q, ok := e.Payload.(*protocol.QueryBatchMsg); ok && slices.Contains(q.TxnIDs, txn) {
+						return true
+					}
+				}
+			}
+		}
+	}
+	return false
 }
 
 // TestRCEAbortOvertakesPrepareEdge pins the exact seed-2 interleaving:

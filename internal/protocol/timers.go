@@ -2,26 +2,24 @@ package protocol
 
 import "time"
 
-// Coalesced control-plane timers (PR-10). The per-transaction resend and
-// in-doubt-query timers of PR ≤9 arm one wheel timer per in-flight
-// transaction: 10k in-flight transactions mean 10k armed timers and 10k
-// single-message resend frames per interval — exactly the ack/resend
-// saturation the PR-6 in-flight sweep measured. The batch scheduler
-// replaces them with one timer per (peer, class): every obligation of
-// one class headed to the same peer shares a timer and drains as one
-// multi-transaction frame, so armed timers scale O(peers) and resend
-// traffic O(peers · classes) instead of O(txns).
+// Coalesced control-plane timers. One timer per in-flight transaction
+// would mean 10k armed timers and 10k single-message resend frames per
+// interval at 10k in-flight transactions. The scheduler instead keeps
+// one timer per (peer, class): every obligation of one class headed to
+// the same peer shares a timer and drains as one multi-transaction
+// frame, so armed timers scale O(peers) and resend traffic
+// O(peers · classes) instead of O(txns). The first control of a
+// transaction and recovery's immediate in-doubt query still go out as
+// per-transaction messages; only the retries coalesce.
 //
 // Mechanics: each (class, peer) slot keeps a two-bucket due-list. An
 // enqueue lands in `due` and arms the wheel timer when the slot is idle,
 // in `pending` when a timer is already ticking. A fire drains `due`,
 // promotes `pending`, filters every drained entry against the
 // authoritative role maps (coord/staged/branches/done) and emits one
-// batched frame for the survivors — a single survivor goes out as the
-// legacy per-transaction message, so mixed-version peers and the
-// unbatched receive path stay byte-identical. Survivors re-enqueue
-// (re-arming the timer); an entry therefore fires between 1× and 2× its
-// interval after enqueue, never early.
+// batched frame for the survivors, however many there are. Survivors
+// re-enqueue (re-arming the timer); an entry therefore fires between 1×
+// and 2× its interval after enqueue, never early.
 //
 // Removal is lazy: resolving a transaction does NOT cancel anything.
 // The next fire filters the dead entry out, and a slot whose buckets
@@ -29,22 +27,20 @@ import "time"
 // silent within one interval, which is what the fuzz quiescence
 // invariant (fire every armed timer, demand no re-arm) pins.
 //
-// Timer IDs are "<class>|<peer>". Classes (distinct from the per-txn
-// kinds so legacy and batch IDs can never collide):
+// Timer IDs are "<class>|<peer>". Classes:
 const (
 	// timerPeerCtl coalesces the coordinator's commit-control resends
-	// per participant peer (replaces timerCtl).
+	// per participant peer.
 	timerPeerCtl = "pctl"
 	// timerPeerQuery coalesces in-doubt queries — staged entries and
-	// recovered/stale branches — per coordinator peer (replaces
-	// timerStaged and the query cadence of timerBranch).
+	// recovered/stale branches — per coordinator peer.
 	timerPeerQuery = "pquery"
 	// timerPeerStale coalesces the StaleAfter threshold of prepared
 	// branches per coordinator peer; a fire hands the still-prepared
-	// branches to timerPeerQuery (replaces the first timerBranch arm).
+	// branches to timerPeerQuery.
 	timerPeerStale = "pstale"
 	// timerPeerDone coalesces completion-notification resends per owner
-	// peer (replaces timerDone).
+	// peer.
 	timerPeerDone = "pdone"
 )
 
@@ -84,10 +80,6 @@ type peerSched struct {
 	pending []dueEntry // enqueued while armed; promoted on fire
 	queued  map[dueEntry]struct{}
 }
-
-// batch reports whether the coalesced control-plane timers are active
-// (the default; Config.NoCtlBatch restores the per-txn timers).
-func (m *Machine) batch() bool { return !m.cfg.NoCtlBatch }
 
 // enqueue registers one obligation on the (class, peer) slot, arming the
 // shared wheel timer when the slot was idle. Duplicate entries (already
@@ -182,22 +174,11 @@ func (m *Machine) peerCtlTimer(peer string) []Effect {
 		effs = append(effs, m.enqueue(timerPeerCtl, peer, e, m.cfg.RetryInterval)...)
 	}
 	effs = append(effs, m.rearm(timerPeerCtl, peer, m.cfg.RetryInterval)...)
-	switch len(items) {
-	case 0:
+	if len(items) == 0 {
 		return effs
-	case 1:
-		// A lone survivor travels as the legacy per-transaction control,
-		// byte-identical to the unbatched path.
-		p := Participant{Node: peer, Kind: PartQueue}
-		if items[0].RCE {
-			p.Kind = PartRCE
-		}
-		send := SendMsg{To: peer, Kind: p.ctlKind(true), Payload: &CtlMsg{TxnID: items[0].TxnID}}
-		return append([]Effect{send}, effs...)
-	default:
-		send := SendMsg{To: peer, Kind: KindCtlBatch, Payload: &CtlBatchMsg{Items: items}}
-		return append([]Effect{send}, effs...)
 	}
+	send := SendMsg{To: peer, Kind: KindCtlBatch, Payload: &CtlBatchMsg{Items: items}}
+	return append([]Effect{send}, effs...)
 }
 
 // peerQueryTimer re-asks one coordinator about every in-doubt entry this
@@ -234,24 +215,18 @@ func (m *Machine) queryLive(peer string, e dueEntry) bool {
 	return false
 }
 
-// querySend emits the in-doubt queries for txns as one frame (legacy
-// single-transaction query when only one survived).
+// querySend emits the in-doubt queries for txns as one frame.
 func (m *Machine) querySend(peer string, txns []string) []Effect {
-	switch len(txns) {
-	case 0:
+	if len(txns) == 0 {
 		return nil
-	case 1:
-		return []Effect{SendMsg{To: peer, Kind: KindTxnQuery, Payload: &CtlMsg{TxnID: txns[0]}}}
-	default:
-		return []Effect{SendMsg{To: peer, Kind: KindQueryBatch, Payload: &QueryBatchMsg{TxnIDs: txns}}}
 	}
+	return []Effect{SendMsg{To: peer, Kind: KindQueryBatch, Payload: &QueryBatchMsg{TxnIDs: txns}}}
 }
 
 // peerStaleTimer fires the StaleAfter threshold for prepared branches
 // coordinated by one peer: every branch still prepared starts the query
 // cadence (an immediate query, then RetryInterval re-asks via
-// timerPeerQuery) — the same first-query-after-StaleAfter behaviour the
-// per-txn branch timer had.
+// timerPeerQuery).
 func (m *Machine) peerStaleTimer(peer string) []Effect {
 	fired := m.takeDue(timerPeerStale, peer, func(e dueEntry) bool {
 		b, ok := m.branches[e.id]

@@ -18,11 +18,10 @@ import (
 // varint helpers below. A binary *frame* is the TCP transport's unit: a
 // magic byte and a length prefix around one routed message (see
 // network's frame codec). Both lead-in bytes live in the 0x80..0xF7
-// window that can never start a gob stream (see scalar.go), so a decoder
-// distinguishes binary from legacy gob payloads by looking at one byte.
-// Protocol messages use that for the legacy gob transport mode: their
-// decoders accept both formats, encoders choose. Stored records have no
-// gob form and reject anything but their own payload type.
+// window that can never start a gob stream (see scalar.go), so a gob
+// encoding never parses as a binary payload or frame. Decoders accept
+// only their own payload type; there is no gob form of any record or
+// protocol message.
 //
 // Type-byte registry. Payload type bytes are partitioned by owning
 // package so they cannot collide:
@@ -38,16 +37,13 @@ import (
 // or renumber a released type byte; the wire format is a compatibility
 // surface.
 const (
-	// BinaryVersion is the first byte of every binary payload. It is
-	// outside gob's first-byte range, so Binary(data) cheaply routes a
-	// payload to the right decoder. Bump means a new, incompatible
-	// payload layout; decoders reject unknown versions rather than
-	// guessing.
+	// BinaryVersion is the first byte of every binary payload. Bump
+	// means a new, incompatible payload layout; decoders reject unknown
+	// versions rather than guessing.
 	BinaryVersion byte = 0x90
 	// FrameMagic is the first byte of every binary transport frame
-	// (the TCP endpoint's length-prefixed unit). Also outside gob's
-	// first-byte range, so one sniffed byte classifies a connection as
-	// framed-binary or legacy gob stream.
+	// (the TCP endpoint's length-prefixed unit). A connection whose
+	// first byte is anything else is closed unread.
 	FrameMagic byte = 0x91
 )
 
@@ -69,12 +65,6 @@ var ErrCorrupt = errors.New("wire: corrupt binary encoding")
 type BinaryMessage interface {
 	AppendTo(buf []byte) []byte
 	DecodeFrom(buf []byte) error
-}
-
-// Binary reports whether data starts a binary payload (as opposed to a
-// legacy gob encoding).
-func Binary(data []byte) bool {
-	return len(data) > 0 && data[0] == BinaryVersion
 }
 
 // SplitBinary validates the two-byte payload header and returns the
@@ -273,8 +263,8 @@ func ReadString(b []byte) (s string, rest []byte, err error) {
 }
 
 // ReadBytes consumes a length-prefixed byte slice from b. The returned
-// slice aliases b (zero-copy); a zero length yields nil, matching what a
-// gob round-trip produces for empty slices.
+// slice aliases b (zero-copy); a zero length yields nil, so an empty
+// slice has one decoded shape.
 func ReadBytes(b []byte) (val []byte, rest []byte, err error) {
 	n, rest, err := ReadUvarint(b)
 	if err != nil {

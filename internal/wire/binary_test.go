@@ -90,9 +90,10 @@ func TestBinaryCorruptInputs(t *testing.T) {
 	}
 }
 
-// TestBinaryLeadInBytesOutsideGobRange pins the invariant the whole
-// versioning story rests on: no gob stream can start with the binary
-// lead-in bytes (gob's first byte is a length uvarint in 0x01..0x7f or a
+// TestBinaryLeadInBytesOutsideGobRange pins the invariant that keeps a
+// gob encoding (stored values, a stray retired-format peer) from ever
+// parsing as a binary payload or frame: no gob stream can start with the
+// binary lead-in bytes (gob's first byte is a length uvarint in 0x01..0x7f or a
 // negated byte count in 0xf8..0xff; see scalar.go).
 func TestBinaryLeadInBytesOutsideGobRange(t *testing.T) {
 	for _, b := range []byte{BinaryVersion, FrameMagic} {
@@ -104,7 +105,7 @@ func TestBinaryLeadInBytesOutsideGobRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Binary(enc) {
-		t.Fatal("gob encoding misdetected as binary payload")
+	if _, err := Body(enc, 0x01); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("gob encoding accepted as a binary payload header: %v", err)
 	}
 }

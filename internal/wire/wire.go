@@ -8,8 +8,8 @@
 // records, and the high-volume protocol messages. encoding/gob remains
 // for what has no fixed schema or is off the step path: opaque user
 // values that miss the tagged-scalar fast path (scalar.go), resource
-// state, transaction branch records, and the legacy gob transport mode
-// (persistent stream sessions, stream.go).
+// state, transaction branch records and membership announcements. The
+// transport carries binary frames only.
 package wire
 
 import (
@@ -20,13 +20,12 @@ import (
 	"sync"
 )
 
-// MaxMessageSize bounds a single streamed message (64 MiB). A decoder
+// MaxMessageSize bounds a single message payload (64 MiB). A decoder
 // refusing larger messages keeps a corrupt or malicious byte stream from
 // triggering an unbounded allocation.
 const MaxMessageSize = 64 << 20
 
-// ErrMessageTooLarge is returned when a streamed message exceeds
-// MaxMessageSize.
+// ErrMessageTooLarge is returned when a message exceeds MaxMessageSize.
 var ErrMessageTooLarge = errors.New("wire: message exceeds maximum size")
 
 // Register makes a concrete type known to gob. It must be called (typically
@@ -44,8 +43,8 @@ func RegisterName(name string, v any) { gob.RegisterName(name, v) }
 // bytes.Buffer per call.
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// maxPooledBuf caps the capacity of scratch buffers kept alive by pools
-// and sessions: a rare huge value (a multi-MiB agent container) must not
+// maxPooledBuf caps the capacity of scratch buffers kept alive by the
+// pool: a rare huge value (a multi-MiB agent container) must not
 // pin a same-sized buffer for the process lifetime.
 const maxPooledBuf = 1 << 20
 

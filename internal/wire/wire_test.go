@@ -2,6 +2,13 @@ package wire
 
 import "testing"
 
+// blobMsg is a gob-encoded value with a byte payload.
+type blobMsg struct {
+	Seq     int64
+	Kind    string
+	Payload []byte
+}
+
 type payload struct {
 	Name  string
 	Count int64
@@ -43,4 +50,27 @@ func TestMustEncodePanicsOnUnencodable(t *testing.T) {
 		}
 	}()
 	MustEncode(make(chan int))
+}
+
+// TestEncodeAllocsFlat guards the pooled encode path: encoding a large
+// value must not scale allocations with payload size (the scratch buffer
+// is pooled; only the exact-size result is allocated).
+func TestEncodeAllocsFlat(t *testing.T) {
+	big := blobMsg{Kind: "k", Payload: make([]byte, 256<<10)}
+	// Warm the pool.
+	if _, err := Encode(&big); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := Encode(&big); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// A fresh bytes.Buffer would pay ~18 growth re-allocations for a
+	// 256 KiB value on top of the encoder internals; the pooled path
+	// allocates the encoder, a few gob internals, and the result slice
+	// (~17 total). The bound has headroom for the race detector.
+	if allocs > 24 {
+		t.Errorf("Encode allocs/op = %.1f, want <= 24", allocs)
+	}
 }
