@@ -245,14 +245,15 @@ func BenchmarkTransitionToWire(b *testing.B) {
 	b.Run("binary-batch-traced", func(b *testing.B) { run(b, true, true) })
 }
 
-// BenchmarkStableApplyParallel: concurrent step commits against one
-// file-backed store; group commit coalesces the journal writes
+// BenchmarkStableApplyParallel: concurrent step commits against one wal
+// store without fsync; group commit coalesces the record appends
 // (commits/op < 1 under contention).
 func BenchmarkStableApplyParallel(b *testing.B) {
-	s, err := stable.OpenFileStore(b.TempDir(), nil)
+	s, err := wal.Open(b.TempDir(), wal.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer s.Close()
 	val := make([]byte, 512)
 	b.SetParallelism(4) // ensure concurrent committers even on one core
 	b.ResetTimer()
@@ -270,12 +271,15 @@ func BenchmarkStableApplyParallel(b *testing.B) {
 }
 
 // BenchmarkStoreApplyDurable: the fully durable (fsync-on) grouped commit
-// path, FileStore vs the log-structured WAL engine — the PR-3 headline.
-// The file engine pays several fsyncs per group (journal temp file, dir,
-// each op file, kv dir); the WAL appends one record and fsyncs once.
+// path of the wal engine: one record append and one fsync per group.
 func BenchmarkStoreApplyDurable(b *testing.B) {
 	val := make([]byte, 512)
-	run := func(b *testing.B, s stable.Store, commits func() int64) {
+	b.Run("wal", func(b *testing.B) {
+		s, err := wal.Open(b.TempDir(), wal.Options{Sync: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
 		b.SetParallelism(4)
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
@@ -288,22 +292,7 @@ func BenchmarkStoreApplyDurable(b *testing.B) {
 				i++
 			}
 		})
-		b.ReportMetric(float64(commits())/float64(b.N), "commits/op")
-	}
-	b.Run("file", func(b *testing.B) {
-		s, err := stable.OpenFileStoreWith(b.TempDir(), nil, stable.FileStoreOptions{Sync: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		run(b, s, s.GroupCommits)
-	})
-	b.Run("wal", func(b *testing.B) {
-		s, err := wal.Open(b.TempDir(), wal.Options{Sync: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer s.Close()
-		run(b, s, s.GroupCommits)
+		b.ReportMetric(float64(s.GroupCommits())/float64(b.N), "commits/op")
 	})
 }
 

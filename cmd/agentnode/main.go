@@ -4,10 +4,7 @@
 // process and restarting it with the same -data directory exercises the
 // crash-recovery protocol for real. The default -store=wal engine appends
 // commits to checksummed log segments with index checkpoints, so restart
-// replays only the log tail written since the last checkpoint; -store=file
-// keeps the one-file-per-key layout of earlier deployments (the engines do
-// not migrate in place — restart existing data dirs with the engine that
-// wrote them).
+// replays only the log tail written since the last checkpoint.
 //
 // Example three-node cluster (plus the agentctl client as peer "ctl"):
 //
@@ -208,30 +205,14 @@ func run(args []string) error {
 }
 
 // openStore builds the node's stable store through the unified
-// stable.Open path. Opening a data directory that was written by a
-// different engine is refused rather than silently starting empty — the
-// layouts are disjoint, so the agent queue and resource states would all
-// be invisible.
+// stable.Open path. A data directory that holds the kv/ layout of the
+// retired one-file-per-key engine is refused rather than silently started
+// empty: the agent queue and resource states would all be invisible.
 func openStore(spec stable.Spec, logger *slog.Logger) (stable.Store, error) {
-	hasFileLayout := false
-	if _, err := os.Stat(filepath.Join(spec.Dir, "kv")); err == nil {
-		hasFileLayout = true
-	}
-	hasWALLayout := false
-	if segs, _ := filepath.Glob(filepath.Join(spec.Dir, "*.seg")); len(segs) > 0 {
-		hasWALLayout = true
-	}
-	switch spec.Engine {
-	case "wal":
-		if hasFileLayout {
-			return nil, fmt.Errorf("data dir %s holds a file-store layout; restart with -store=file (engines do not migrate in place)", spec.Dir)
-		}
-	case "file":
-		if hasWALLayout {
-			return nil, fmt.Errorf("data dir %s holds a wal layout; restart with -store=wal (engines do not migrate in place)", spec.Dir)
-		}
-	case "mem":
+	if !spec.Durable() {
 		logger.Warn("-store=mem is volatile; a restart loses the input queue and all resource state")
+	} else if _, err := os.Stat(filepath.Join(spec.Dir, "kv")); err == nil {
+		return nil, fmt.Errorf("data dir %s holds a kv/ layout from the retired file engine, which this build cannot read; start from a fresh -data dir", spec.Dir)
 	}
 	return stable.Open(spec)
 }

@@ -2,6 +2,8 @@ package main
 
 import (
 	"log/slog"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -68,22 +70,19 @@ func TestRunRequiresFlags(t *testing.T) {
 	}
 }
 
-// TestOpenStoreLayoutGuard: opening a data dir written by a different
-// engine must be refused, never silently started empty.
+// TestOpenStoreLayoutGuard: a data dir holding the retired file engine's
+// kv/ layout must be refused, never silently started empty; a wal dir
+// reopens with its data; an unknown engine is rejected by stable.Open.
 func TestOpenStoreLayoutGuard(t *testing.T) {
 	spec := func(engine, dir string) stable.Spec {
 		return stable.Spec{Engine: engine, Dir: dir}
 	}
-	fileDir := t.TempDir()
-	fs, err := openStore(spec("file", fileDir), testLogger())
-	if err != nil {
+	kvDir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(kvDir, "kv"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Apply(stable.Put("k", []byte("v"))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := openStore(spec("wal", fileDir), testLogger()); err == nil {
-		t.Error("wal engine opened a file-store layout")
+	if _, err := openStore(spec("wal", kvDir), testLogger()); err == nil || !strings.Contains(err.Error(), "kv/") {
+		t.Errorf("wal engine opened a kv/ layout: %v", err)
 	}
 
 	walDir := t.TempDir()
@@ -95,10 +94,6 @@ func TestOpenStoreLayoutGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = stable.Close(ws)
-	if _, err := openStore(spec("file", walDir), testLogger()); err == nil {
-		t.Error("file engine opened a wal layout")
-	}
-	// Reopening with the matching engine works.
 	ws2, err := openStore(spec("wal", walDir), testLogger())
 	if err != nil {
 		t.Fatal(err)
@@ -108,8 +103,10 @@ func TestOpenStoreLayoutGuard(t *testing.T) {
 	}
 	_ = stable.Close(ws2)
 
-	if _, err := openStore(spec("papyrus", t.TempDir()), testLogger()); err == nil {
-		t.Error("unknown engine accepted")
+	for _, engine := range []string{"papyrus", "file"} {
+		if _, err := openStore(spec(engine, t.TempDir()), testLogger()); err == nil || !strings.Contains(err.Error(), "unknown engine") {
+			t.Errorf("engine %q: got %v, want stable.Open's unknown-engine error", engine, err)
+		}
 	}
 }
 

@@ -9,7 +9,7 @@
 //	loadgen -workers 8 -conflict 0.5         # half the agents pinned to one bank
 //	loadgen -sweep 1,2,4,8 -json out.json    # worker sweep, machine-readable
 //	loadgen -store wal                       # nodes on the log-structured WAL engine
-//	loadgen -storesweep -workers 4           # backend sweep: mem vs file vs wal
+//	loadgen -storesweep -workers 4           # engine sweep: every stable.Engines() entry
 //	loadgen -ring                            # consistent-hash placement (@ring steps)
 //	loadgen -join -workers 4                 # boot a 5th node mid-run; live agents migrate to it
 //	loadgen -repl 2                          # replicate every shard to 2 followers (quorum acks)
@@ -132,7 +132,7 @@ func run(args []string) error {
 	profileName := fs.String("profile", "", `named load profile: "shard-saturate" saturates GOMAXPROCS across the shards and sweeps 1x/10x in-flight agents (p99 should stay flat)`)
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile covering the whole run to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")
-	storeSweep := fs.Bool("storesweep", false, "run the full backend sweep (mem, file, wal) per worker count")
+	storeSweep := fs.Bool("storesweep", false, "run every registered storage engine (stable.Engines()) per worker count")
 	sweep := fs.String("sweep", "", "comma-separated worker counts to sweep (overrides -workers)")
 	jsonPath := fs.String("json", "", "write the reports as JSON to this file")
 	tracePath := fs.String("trace", "", "write the final run's causal trace as Chrome trace_event JSON (open in chrome://tracing or Perfetto)")
@@ -223,7 +223,7 @@ func run(args []string) error {
 
 	backends := []string{spec.Engine}
 	if *storeSweep {
-		backends = experiments.StoreBackends
+		backends = stable.Engines()
 	}
 
 	// A load point is one (workers, agents) cell; the plain worker sweep

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/stable"
 )
 
 // TestLoadgenSmoke runs a tiny sweep end to end and checks the JSON
@@ -50,11 +51,13 @@ func TestLoadgenBadFlags(t *testing.T) {
 	if err := run([]string{"-sweep", "1,zero"}); err == nil {
 		t.Error("bad sweep accepted")
 	}
-	if err := run([]string{"-store", "papyrus"}); err == nil {
-		t.Error("unknown store backend accepted")
-	}
-	if err := run([]string{"-chaos", "-store", "papyrus"}); err == nil {
-		t.Error("chaos mode accepted an unknown store backend")
+	for _, engine := range []string{"papyrus", "file"} {
+		if err := run([]string{"-store", engine}); err == nil || !strings.Contains(err.Error(), "unknown engine") {
+			t.Errorf("-store %s: got %v, want stable.Open's unknown-engine error", engine, err)
+		}
+		if err := run([]string{"-chaos", "-store", engine}); err == nil || !strings.Contains(err.Error(), "unknown engine") {
+			t.Errorf("-chaos -store %s: got %v, want stable.Open's unknown-engine error", engine, err)
+		}
 	}
 	for _, retired := range []string{"-noctlbatch", "-nobatch", "-wire"} {
 		if err := run([]string{retired}); err == nil {
@@ -137,8 +140,8 @@ func TestLoadgenStoreBackends(t *testing.T) {
 	if err := json.Unmarshal(data, &reports); err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != 3 {
-		t.Fatalf("got %d reports, want 3 (mem, file, wal)", len(reports))
+	if engines := stable.Engines(); len(reports) != len(engines) {
+		t.Fatalf("got %d reports, want one per engine %v", len(reports), engines)
 	}
 	for _, r := range reports {
 		if r.AgentsPerSec <= 0 {

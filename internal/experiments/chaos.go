@@ -26,7 +26,7 @@ func Chaos() (*Table, error) {
 		workers int
 	}
 	pts := []pt{
-		{1, "mem", 1}, {2, "mem", 8}, {3, "file", 1},
+		{1, "mem", 1}, {2, "mem", 8},
 		{4, "wal", 1}, {5, "wal", 8},
 	}
 	for _, p := range pts {

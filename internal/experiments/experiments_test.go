@@ -193,8 +193,8 @@ func TestChaosExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 5 {
-		t.Fatalf("chaos table has %d rows, want 5", len(tbl.Rows))
+	if len(tbl.Rows) != 4 {
+		t.Fatalf("chaos table has %d rows, want 4", len(tbl.Rows))
 	}
 	verdict := len(tbl.Header) - 1
 	for _, row := range tbl.Rows {

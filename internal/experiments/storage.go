@@ -9,38 +9,17 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/stable"
-	"repro/internal/stable/wal" // linked for the engine registration; typed asserts below
+	"repro/internal/stable/wal"
 )
-
-// StoreBackends names the pluggable stable-storage engines the harnesses
-// can sweep: "mem" (volatile map), "file" (one file per key + journal),
-// "wal" (log-structured segments + checkpoints).
-var StoreBackends = []string{"mem", "file", "wal"}
-
-// StoreSpec builds the cluster storage Spec for one backend of the
-// sweep. Durable backends root per-node directories under baseDir (the
-// cluster derives them with Spec.ForNode); Sync is left off — the
-// simulation convention, matching MemStore semantics — while the `stor`
-// experiment measures the Sync-on path explicitly.
-func StoreSpec(backend, baseDir string, counters *metrics.Counters) (stable.Spec, error) {
-	switch backend {
-	case "":
-		backend = "mem"
-	case "mem", "file", "wal":
-	default:
-		return stable.Spec{}, fmt.Errorf("unknown store backend %q (want %v)", backend, StoreBackends)
-	}
-	return stable.Spec{Engine: backend, Dir: baseDir, Counters: counters}, nil
-}
 
 // --- grouped Apply throughput (durable path) --------------------------
 
-// ApplyBenchConfig drives concurrent committers against one store with
-// fsync on — the durable group-commit path every step transaction pays.
+// ApplyBenchConfig drives concurrent committers against one wal store
+// with fsync on — the durable group-commit path every step transaction
+// pays.
 type ApplyBenchConfig struct {
-	Backend   string // "file" or "wal"
-	Workers   int    // concurrent Apply callers
-	Batches   int    // total batches across all workers
+	Workers   int // concurrent Apply callers
+	Batches   int // total batches across all workers
 	ValueSize int
 	Dir       string
 }
@@ -56,22 +35,12 @@ type ApplyBenchResult struct {
 
 // RunApplyBench measures grouped Apply throughput with Sync on.
 func RunApplyBench(cfg ApplyBenchConfig) (ApplyBenchResult, error) {
-	switch cfg.Backend {
-	case "file", "wal":
-	default:
-		return ApplyBenchResult{}, fmt.Errorf("apply bench: unsupported backend %q", cfg.Backend)
-	}
 	counters := &metrics.Counters{}
-	store, err := stable.Open(stable.Spec{Engine: cfg.Backend, Dir: cfg.Dir, Sync: true, Counters: counters})
+	store, err := wal.Open(cfg.Dir, wal.Options{Sync: true, Counters: counters})
 	if err != nil {
 		return ApplyBenchResult{}, err
 	}
-	defer stable.Close(store)
-	grouped, ok := store.(interface{ GroupCommits() int64 })
-	if !ok {
-		return ApplyBenchResult{}, fmt.Errorf("apply bench: engine %q does not report group commits", cfg.Backend)
-	}
-	groupCommits := grouped.GroupCommits
+	defer store.Close()
 
 	val := make([]byte, cfg.ValueSize)
 	perWorker := cfg.Batches / cfg.Workers
@@ -102,7 +71,7 @@ func RunApplyBench(cfg ApplyBenchConfig) (ApplyBenchResult, error) {
 	res := ApplyBenchResult{
 		Elapsed:      elapsed,
 		BatchesPerS:  float64(cfg.Workers*perWorker) / elapsed.Seconds(),
-		GroupCommits: groupCommits(),
+		GroupCommits: store.GroupCommits(),
 		Fsyncs:       snap.Fsyncs,
 	}
 	if snap.Fsyncs > 0 {
@@ -119,7 +88,7 @@ func RunApplyBench(cfg ApplyBenchConfig) (ApplyBenchResult, error) {
 // journal/checkpoint load + log replay) plus the §4.3-style full scan of
 // the live keys (the input-queue replay reads every queued container).
 type RecoveryBenchConfig struct {
-	Backend   string // "file", "wal", "wal-nockpt"
+	Backend   string // "wal" or "wal-nockpt"
 	History   int    // total batches written before the crash
 	ValueSize int
 	Dir       string
@@ -133,16 +102,12 @@ type RecoveryBenchResult struct {
 	BytesReplayed int64   // wal: log bytes scanned during open
 }
 
-func (cfg RecoveryBenchConfig) open(dir string) (stable.Store, error) {
+func (cfg RecoveryBenchConfig) open(dir string) (*wal.Store, error) {
 	switch cfg.Backend {
-	case "file":
-		return stable.Open(stable.Spec{Engine: "file", Dir: dir})
 	case "wal":
-		return stable.Open(stable.Spec{Engine: "wal", Dir: dir,
-			WAL: stable.WALSpec{CheckpointEvery: 256 << 10, NoBackground: true}})
+		return wal.Open(dir, wal.Options{CheckpointEvery: 256 << 10, NoBackground: true})
 	case "wal-nockpt":
-		return stable.Open(stable.Spec{Engine: "wal", Dir: dir,
-			WAL: stable.WALSpec{CheckpointEvery: -1, NoBackground: true}})
+		return wal.Open(dir, wal.Options{CheckpointEvery: -1, NoBackground: true})
 	default:
 		return nil, fmt.Errorf("recovery bench: unsupported backend %q", cfg.Backend)
 	}
@@ -174,8 +139,8 @@ func RunRecoveryBench(cfg RecoveryBenchConfig) (RecoveryBenchResult, error) {
 	// explicitly (NoBackground keeps the write phase deterministic),
 	// followed by a fixed-size tail — the "data written since the last
 	// checkpoint" that bounds the replay regardless of total history.
-	if w, ok := s.(*wal.Store); ok && cfg.Backend == "wal" {
-		if err := w.Checkpoint(); err != nil {
+	if cfg.Backend == "wal" {
+		if err := s.Checkpoint(); err != nil {
 			return RecoveryBenchResult{}, err
 		}
 		const tailBatches = 256
@@ -209,28 +174,25 @@ func RunRecoveryBench(cfg RecoveryBenchConfig) (RecoveryBenchResult, error) {
 	scanD := time.Since(scanStart)
 
 	res := RecoveryBenchResult{
-		LiveKeys: len(keys),
-		OpenMS:   float64(openD.Microseconds()) / 1000,
-		ScanMS:   float64(scanD.Microseconds()) / 1000,
+		LiveKeys:      len(keys),
+		OpenMS:        float64(openD.Microseconds()) / 1000,
+		ScanMS:        float64(scanD.Microseconds()) / 1000,
+		BytesReplayed: r.Recovery().BytesReplayed,
 	}
-	if w, ok := r.(*wal.Store); ok {
-		res.BytesReplayed = w.Recovery().BytesReplayed
-	}
-	_ = stable.Close(r)
-	_ = stable.Close(s)
+	_ = r.Close()
+	_ = s.Close()
 	return res, nil
 }
 
-// Storage is the `stor` experiment: the pluggable-engine comparison.
-// Part 1 measures the durable (fsync-on) grouped Apply path — the cost
-// every step-transaction commit pays — for the file engine vs the WAL
-// engine. Part 2 measures time-to-recover after a crash as the total
-// history grows: the WAL's checkpoint bounds its replay (roughly flat),
-// while scanning a per-key-file store grows linearly with the live set,
-// and a WAL without checkpoints grows linearly with the whole history.
+// Storage is the `stor` experiment on the durable engine. Part 1
+// measures the durable (fsync-on) grouped Apply path — the cost every
+// step-transaction commit pays. Part 2 measures time-to-recover after a
+// crash as the total history grows: the checkpoint bounds the replay
+// (roughly flat), while a WAL without checkpoints replays the whole
+// history.
 func Storage() (*Table, error) {
 	t := &Table{
-		Title: "STOR: stable-storage engines — durable Apply throughput and crash-recovery time",
+		Title: "STOR: wal stable storage — durable Apply throughput and crash-recovery time",
 		Note: "apply: 4 committers, 512 B values, fsync on; recovery: history of 1-op batches, live set = history/4,\n" +
 			"wal checkpoint interval 256 KiB; open = engine recovery, scan = read back every live key (§4.3 queue replay)",
 		Header: []string{"backend", "phase", "history", "live keys", "batches/s",
@@ -243,23 +205,20 @@ func Storage() (*Table, error) {
 	}
 	defer os.RemoveAll(tmp)
 
-	for _, backend := range []string{"file", "wal"} {
-		res, err := RunApplyBench(ApplyBenchConfig{
-			Backend:   backend,
-			Workers:   4,
-			Batches:   400,
-			ValueSize: 512,
-			Dir:       filepath.Join(tmp, "apply-"+backend),
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(backend, "apply", "-", "-", res.BatchesPerS,
-			res.GroupCommits, res.Fsyncs, fmt.Sprintf("%.3f", res.FsyncMeanMS),
-			"-", "-", "-")
+	res, err := RunApplyBench(ApplyBenchConfig{
+		Workers:   4,
+		Batches:   400,
+		ValueSize: 512,
+		Dir:       filepath.Join(tmp, "apply"),
+	})
+	if err != nil {
+		return nil, err
 	}
+	t.AddRow("wal", "apply", "-", "-", res.BatchesPerS,
+		res.GroupCommits, res.Fsyncs, fmt.Sprintf("%.3f", res.FsyncMeanMS),
+		"-", "-", "-")
 
-	for _, backend := range []string{"file", "wal", "wal-nockpt"} {
+	for _, backend := range []string{"wal", "wal-nockpt"} {
 		for _, history := range []int{1024, 4096, 16384} {
 			res, err := RunRecoveryBench(RecoveryBenchConfig{
 				Backend: backend,

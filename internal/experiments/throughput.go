@@ -42,10 +42,10 @@ type ThroughputConfig struct {
 	StepWork  time.Duration
 	Latency   time.Duration
 	Optimized bool
-	// Store selects the stable-storage backend under every node: "mem"
-	// (default), "file" or "wal" — the backend sweep for the engine
-	// comparison. Durable backends root their files under StoreDir
-	// (RunThroughput provisions a temp dir when empty).
+	// Store names the stable.Open engine under every node: "mem"
+	// (default) or any registered engine such as "wal". Durable engines
+	// root their files under StoreDir (RunThroughput provisions a temp
+	// dir when empty); Sync stays off, the simulation convention.
 	Store    string
 	StoreDir string
 	// Repl replicates every node's store (stable.Spec.Repl): Followers
@@ -131,14 +131,7 @@ func tputBank(i int, cfg ThroughputConfig, conflicted []bool) string {
 // matching compensation registered.
 func BuildThroughputCluster(cfg ThroughputConfig) (*cluster.Cluster, error) {
 	counters := &metrics.Counters{}
-	if cfg.Store != "" && cfg.Store != "mem" && cfg.StoreDir == "" {
-		return nil, fmt.Errorf("throughput: backend %q needs a StoreDir", cfg.Store)
-	}
-	spec, err := StoreSpec(cfg.Store, cfg.StoreDir, counters)
-	if err != nil {
-		return nil, err
-	}
-	spec.Repl = cfg.Repl
+	spec := stable.Spec{Engine: cfg.Store, Dir: cfg.StoreDir, Repl: cfg.Repl, Counters: counters}
 	cl := cluster.New(cluster.Options{
 		Optimized:    cfg.Optimized,
 		Latency:      cfg.Latency,

@@ -182,7 +182,10 @@ func TestContainerDecodeRejectsCorrupt(t *testing.T) {
 }
 
 // TestContainerCodecAllocs guards the codec's allocation budget on the
-// forward workload's launch container.
+// forward workload's launch container. The encode budget counts on
+// EncodeContainer's pooled scratch buffer, which the race detector's
+// random sync.Pool drops turn into a coin flip, so the budget is only
+// asserted in a build without -race.
 func TestContainerCodecAllocs(t *testing.T) {
 	c := benchContainer(t)
 	data := mustEncode(t, c)
@@ -197,7 +200,7 @@ func TestContainerCodecAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("allocs/op: encode %.0f, decode %.0f", enc, dec)
-	if enc > 2 || dec > 64 {
+	if !raceEnabled && (enc > 2 || dec > 64) {
 		t.Errorf("allocs/op: encode %.0f (max 2), decode %.0f (max 64)", enc, dec)
 	}
 }

@@ -12,13 +12,15 @@ import (
 	"repro/internal/node"
 	"repro/internal/resource"
 	"repro/internal/stable"
+	"repro/internal/stable/wal"
 )
 
-// tcpNode is one "process": a TCP endpoint + file store + node runtime.
+// tcpNode is one "process": a TCP endpoint + wal store + node runtime.
 type tcpNode struct {
 	name    string
 	dataDir string
 	ep      *network.TCPEndpoint
+	store   *wal.Store
 	n       *node.Node
 }
 
@@ -29,7 +31,7 @@ func startTCPNode(t *testing.T, name, listen string, peers map[string]string, da
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := stable.OpenFileStore(dataDir, nil)
+	store, err := wal.Open(dataDir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,17 +50,20 @@ func startTCPNode(t *testing.T, name, listen string, peers map[string]string, da
 	case <-time.After(5 * time.Second):
 		t.Fatalf("node %s never became ready", name)
 	}
-	return &tcpNode{name: name, dataDir: dataDir, ep: ep, n: n}
+	return &tcpNode{name: name, dataDir: dataDir, ep: ep, store: store, n: n}
 }
 
+// stop ends the "process": runtime, listener, and the store's handles on
+// its data directory, so a reboot can reopen it.
 func (tn *tcpNode) stop() {
 	tn.n.Stop()
 	tn.ep.Close()
+	_ = tn.store.Close()
 }
 
 // TestTCPMultiProcess runs the demo shopping scenario (with its partial
 // rollback) across three node runtimes connected by real TCP sockets with
-// file-backed stable stores — the multi-process deployment of S15. It then
+// wal-backed stable stores — the multi-process deployment of S15. It then
 // "kills" the shop node (stopping runtime and listener) and restarts it on
 // the same data directory, verifying the durable resource state survived.
 func TestTCPMultiProcess(t *testing.T) {

@@ -1,15 +1,17 @@
-package stable
+package stable_test
 
 import (
 	"fmt"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/stable"
 )
 
 func TestQueueClaimLease(t *testing.T) {
-	storeImpls(t, func(t *testing.T, s Store) {
-		q := NewQueue(s, "q/")
+	storeImpls(t, func(t *testing.T, s stable.Store) {
+		q := stable.NewQueue(s, "q/")
 		for _, id := range []string{"a", "b", "c"} {
 			if err := q.Enqueue(id, []byte(id)); err != nil {
 				t.Fatal(err)
@@ -56,8 +58,8 @@ func TestQueueClaimLease(t *testing.T) {
 }
 
 func TestQueueClaimPerAgentFIFO(t *testing.T) {
-	storeImpls(t, func(t *testing.T, s Store) {
-		q := NewQueue(s, "q/")
+	storeImpls(t, func(t *testing.T, s stable.Store) {
+		q := stable.NewQueue(s, "q/")
 		// Two entries for agent x, one for agent y, in age order x1 y x2.
 		if err := q.Enqueue("x", []byte("x1")); err != nil {
 			t.Fatal(err)
@@ -94,8 +96,8 @@ func TestQueueClaimPerAgentFIFO(t *testing.T) {
 }
 
 func TestQueueClaimSkip(t *testing.T) {
-	storeImpls(t, func(t *testing.T, s Store) {
-		q := NewQueue(s, "q/")
+	storeImpls(t, func(t *testing.T, s stable.Store) {
+		q := stable.NewQueue(s, "q/")
 		for _, id := range []string{"cooling", "ready"} {
 			if err := q.Enqueue(id, nil); err != nil {
 				t.Fatal(err)
@@ -117,8 +119,8 @@ func TestQueueClaimSkip(t *testing.T) {
 // sees claimed-but-unremoved entries again (§4.3: the agent still resides
 // in the input queue).
 func TestQueueClaimVolatile(t *testing.T) {
-	storeImpls(t, func(t *testing.T, s Store) {
-		q := NewQueue(s, "q/")
+	storeImpls(t, func(t *testing.T, s stable.Store) {
+		q := stable.NewQueue(s, "q/")
 		for i := 0; i < 3; i++ {
 			if err := q.Enqueue(fmt.Sprintf("a%d", i), nil); err != nil {
 				t.Fatal(err)
@@ -129,7 +131,7 @@ func TestQueueClaimVolatile(t *testing.T) {
 				t.Fatal("claim came up empty")
 			}
 		}
-		q2 := NewQueue(s, "q/")
+		q2 := stable.NewQueue(s, "q/")
 		for i := 0; i < 3; i++ {
 			e, _, err := q2.Claim(nil)
 			if err != nil || e == nil {
@@ -143,8 +145,8 @@ func TestQueueClaimVolatile(t *testing.T) {
 // enqueue / claim / remove / release / re-enqueue churn and checks the
 // hand-out order never deviates from a cache-less queue.
 func TestQueueClaimCachedIDsStayCorrect(t *testing.T) {
-	storeImpls(t, func(t *testing.T, s Store) {
-		q := NewQueue(s, "q/")
+	storeImpls(t, func(t *testing.T, s stable.Store) {
+		q := stable.NewQueue(s, "q/")
 		// Interleave two agents, claim through twice so the second pass
 		// is served from the warm cache.
 		for round := 0; round < 2; round++ {
@@ -153,7 +155,7 @@ func TestQueueClaimCachedIDsStayCorrect(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			var claimed []*Entry
+			var claimed []*stable.Entry
 			for i := 0; i < 2; i++ {
 				e, _, err := q.Claim(nil)
 				if err != nil || e == nil {
@@ -191,53 +193,11 @@ func TestQueueClaimCachedIDsStayCorrect(t *testing.T) {
 	})
 }
 
-// BenchmarkQueueClaimWithheld measures one Claim call over a queue whose
-// visible entries are all withheld (every agent has its oldest entry in
-// flight) — the scheduler's steady state under load. Before the entryIDs
-// cache this re-read and re-decoded every withheld entry from the store
-// per call (O(depth) gob decodes); with it the scan is pure map lookups.
-func BenchmarkQueueClaimWithheld(b *testing.B) {
-	for _, agents := range []int{64, 512, 4096} {
-		b.Run(fmt.Sprintf("agents=%d", agents), func(b *testing.B) {
-			s := NewMemStore(nil)
-			q := NewQueue(s, "q/")
-			payload := make([]byte, 1024)
-			for i := 0; i < agents; i++ {
-				id := fmt.Sprintf("agent%05d", i)
-				// Oldest entry (will be claimed) + a younger withheld one.
-				if err := q.Enqueue(id, payload); err != nil {
-					b.Fatal(err)
-				}
-				if err := q.Enqueue(id, payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for i := 0; i < agents; i++ {
-				e, _, err := q.Claim(nil)
-				if err != nil || e == nil {
-					b.Fatalf("setup claim %d: %v %v", i, e, err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e, _, err := q.Claim(nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if e != nil {
-					b.Fatal("claim should find everything withheld")
-				}
-			}
-		})
-	}
-}
-
 // TestQueueNotifyBroadcast checks the no-missed-wakeup contract for N
 // concurrent waiters: grab the channel, find the queue empty, block — an
 // enqueue wakes every waiter.
 func TestQueueNotifyBroadcast(t *testing.T) {
-	q := NewQueue(NewMemStore(nil), "q/")
+	q := stable.NewQueue(stable.NewMemStore(nil), "q/")
 	const waiters = 8
 	var wg sync.WaitGroup
 	woke := make(chan int, waiters)

@@ -19,15 +19,6 @@ func TestStoreConformance(t *testing.T) {
 			return stable.NewMemStore(nil)
 		})
 	})
-	t.Run("file", func(t *testing.T) {
-		storetest.Conformance(t, func(t *testing.T) stable.Store {
-			s, err := stable.OpenFileStore(t.TempDir(), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		})
-	})
 	t.Run("wal", func(t *testing.T) {
 		storetest.Conformance(t, func(t *testing.T) stable.Store {
 			s, err := wal.Open(t.TempDir(), wal.Options{NoBackground: true})
@@ -79,15 +70,6 @@ func TestStoreConformance(t *testing.T) {
 // boundary of randomized histories and verifies recovery (MemStore is
 // volatile by design and exempt).
 func TestStoreCrashMatrix(t *testing.T) {
-	t.Run("file", func(t *testing.T) {
-		storetest.CrashMatrix(t, func(t *testing.T, dir string) stable.Store {
-			s, err := stable.OpenFileStore(dir, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		})
-	})
 	t.Run("wal", func(t *testing.T) {
 		storetest.CrashMatrix(t, func(t *testing.T, dir string) stable.Store {
 			s, err := wal.Open(dir, wal.Options{NoBackground: true})

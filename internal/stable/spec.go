@@ -14,9 +14,9 @@ import (
 // the chaos harness, the experiment tables, and the cmd flag surfaces —
 // now carries one Spec and constructs stores through Open.
 type Spec struct {
-	// Engine selects the storage engine: "mem" (default), "file", or any
-	// engine registered via RegisterEngine ("wal" once the stable/wal
-	// package is linked in).
+	// Engine selects the storage engine: "mem" (default) or any engine
+	// registered via RegisterEngine ("wal" once the stable/wal package is
+	// linked in).
 	Engine string
 	// Dir is the engine's data directory (ignored by "mem"). Multi-node
 	// runtimes derive per-node directories with ForNode.
@@ -148,8 +148,5 @@ func Open(spec Spec) (Store, error) {
 func init() {
 	RegisterEngine("mem", func(spec Spec) (Store, error) {
 		return NewMemStore(spec.Counters), nil
-	})
-	RegisterEngine("file", func(spec Spec) (Store, error) {
-		return OpenFileStoreWith(spec.Dir, spec.Counters, FileStoreOptions{Sync: spec.Sync})
 	})
 }

@@ -1,23 +1,25 @@
-package stable
+package stable_test
 
 import (
-	"os"
-	"path/filepath"
+	"fmt"
 	"reflect"
 	"testing"
 
-	"repro/internal/wire"
+	"repro/internal/stable"
+	"repro/internal/stable/wal"
 )
 
-// storeImpls runs a subtest against both store implementations.
-func storeImpls(t *testing.T, fn func(t *testing.T, s Store)) {
+// storeImpls runs a subtest against the volatile engine and the durable
+// one.
+func storeImpls(t *testing.T, fn func(t *testing.T, s stable.Store)) {
 	t.Helper()
-	t.Run("mem", func(t *testing.T) { fn(t, NewMemStore(nil)) })
-	t.Run("file", func(t *testing.T) {
-		s, err := OpenFileStore(t.TempDir(), nil)
+	t.Run("mem", func(t *testing.T) { fn(t, stable.NewMemStore(nil)) })
+	t.Run("wal", func(t *testing.T) {
+		s, err := wal.Open(t.TempDir(), wal.Options{NoBackground: true})
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { _ = s.Close() })
 		fn(t, s)
 	})
 }
@@ -26,73 +28,9 @@ func storeImpls(t *testing.T, fn func(t *testing.T, s Store)) {
 // queue linearization) lives in the shared suite: see storetest and
 // conformance_test.go, which run it against every engine.
 
-func TestFileStorePersistsAcrossReopen(t *testing.T) {
-	dir := t.TempDir()
-	s1, err := OpenFileStore(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s1.Apply(Put("key", []byte("persisted"))); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := OpenFileStore(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, ok, err := s2.Get("key")
-	if err != nil || !ok || string(v) != "persisted" {
-		t.Errorf("reopen: %q %v %v", v, ok, err)
-	}
-}
-
-func TestFileStoreJournalReplay(t *testing.T) {
-	// Simulate a crash between journal write and batch apply: a valid
-	// journal exists, the kv files do not. Opening must replay it.
-	dir := t.TempDir()
-	batch := []Op{Put("a", []byte("1")), Del("b")}
-	data, err := wire.Encode(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(filepath.Join(dir, "kv"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "journal"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := OpenFileStore(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, ok, err := s.Get("a")
-	if err != nil || !ok || string(v) != "1" {
-		t.Errorf("journal not replayed: %q %v %v", v, ok, err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "journal")); !os.IsNotExist(err) {
-		t.Error("journal not cleared after replay")
-	}
-}
-
-func TestFileStoreTornJournalDiscarded(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(dir, "kv"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "journal"), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := OpenFileStore(dir, nil)
-	if err != nil {
-		t.Fatalf("torn journal should be discarded, got %v", err)
-	}
-	if _, ok, _ := s.Get("a"); ok {
-		t.Error("torn journal applied")
-	}
-}
-
 func TestQueueFIFO(t *testing.T) {
-	storeImpls(t, func(t *testing.T, s Store) {
-		q := NewQueue(s, "q/")
+	storeImpls(t, func(t *testing.T, s stable.Store) {
+		q := stable.NewQueue(s, "q/")
 		for _, id := range []string{"first", "second", "third"} {
 			if err := q.Enqueue(id, []byte(id+"-data")); err != nil {
 				t.Fatal(err)
@@ -121,8 +59,8 @@ func TestQueueFIFO(t *testing.T) {
 }
 
 func TestQueueStagedLifecycle(t *testing.T) {
-	storeImpls(t, func(t *testing.T, s Store) {
-		q := NewQueue(s, "q/")
+	storeImpls(t, func(t *testing.T, s stable.Store) {
+		q := stable.NewQueue(s, "q/")
 		if err := q.Prepare("tx1", "agent1", []byte("d1")); err != nil {
 			t.Fatal(err)
 		}
@@ -156,8 +94,8 @@ func TestQueueStagedLifecycle(t *testing.T) {
 }
 
 func TestQueueAbortStaged(t *testing.T) {
-	s := NewMemStore(nil)
-	q := NewQueue(s, "q/")
+	s := stable.NewMemStore(nil)
+	q := stable.NewQueue(s, "q/")
 	if err := q.Prepare("tx1", "a", []byte("d")); err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +115,8 @@ func TestQueueAbortStaged(t *testing.T) {
 }
 
 func TestQueueStagedKeepsReservedPosition(t *testing.T) {
-	s := NewMemStore(nil)
-	q := NewQueue(s, "q/")
+	s := stable.NewMemStore(nil)
+	q := stable.NewQueue(s, "q/")
 	if err := q.Prepare("tx1", "early", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -195,8 +133,8 @@ func TestQueueStagedKeepsReservedPosition(t *testing.T) {
 }
 
 func TestQueueEnqueueOps(t *testing.T) {
-	s := NewMemStore(nil)
-	q := NewQueue(s, "q/")
+	s := stable.NewMemStore(nil)
+	q := stable.NewQueue(s, "q/")
 	ops, err := q.EnqueueOps("a1", []byte("d"))
 	if err != nil {
 		t.Fatal(err)
@@ -215,8 +153,8 @@ func TestQueueEnqueueOps(t *testing.T) {
 }
 
 func TestQueueNotify(t *testing.T) {
-	s := NewMemStore(nil)
-	q := NewQueue(s, "q/")
+	s := stable.NewMemStore(nil)
+	q := stable.NewQueue(s, "q/")
 	// Broadcast contract: grab the channel first; a later enqueue closes
 	// it, waking every holder.
 	ch := q.Notify()
@@ -237,13 +175,40 @@ func TestQueueNotify(t *testing.T) {
 }
 
 func TestQueueSeparatePrefixes(t *testing.T) {
-	s := NewMemStore(nil)
-	q1 := NewQueue(s, "q1/")
-	q2 := NewQueue(s, "q2/")
+	s := stable.NewMemStore(nil)
+	q1 := stable.NewQueue(s, "q1/")
+	q2 := stable.NewQueue(s, "q2/")
 	if err := q1.Enqueue("a", nil); err != nil {
 		t.Fatal(err)
 	}
 	if e, _ := q2.Peek(); e != nil {
 		t.Error("queues share entries across prefixes")
+	}
+}
+
+// TestQueueSeqCacheSurvivesRestart: the cached tail counter must pick up
+// where the persisted counter left off when a fresh Queue (post-crash)
+// opens the same store.
+func TestQueueSeqCacheSurvivesRestart(t *testing.T) {
+	s := stable.NewMemStore(nil)
+	q1 := stable.NewQueue(s, "q/")
+	for i := 0; i < 3; i++ {
+		if err := q1.Enqueue(fmt.Sprintf("a%d", i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// "Crash": a fresh queue over the same store.
+	q2 := stable.NewQueue(s, "q/")
+	if err := q2.Enqueue("a3", nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"a0", "a1", "a2", "a3"} {
+		e, err := q2.Peek()
+		if err != nil || e == nil || e.ID != want {
+			t.Fatalf("head = %v %v, want %s", e, err, want)
+		}
+		if err := s.Apply(q2.RemoveOp(e)); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -13,14 +13,13 @@
 //     which every engine (and the replication wrapper around it) is built.
 //   - MemStore: in-memory store that survives *simulated* node crashes
 //     (the cluster keeps it while the node's volatile state is discarded).
-//   - FileStore: gob/raw files with a write-ahead journal, surviving real
-//     process death (used by cmd/agentnode).
 //   - Queue: a FIFO agent input queue with staged (prepared) entries for
 //     two-phase commit.
 //
-// The log-structured WAL engine lives in the stable/wal subpackage and the
-// primary/backup replication layer in stable/repl; both register with or
-// wrap the engines opened here.
+// The durable engine, which survives real process death (cmd/agentnode
+// runs on it), is the log-structured WAL in the stable/wal subpackage; it
+// registers itself as "wal". The primary/backup replication layer in
+// stable/repl wraps any engine opened here.
 package stable
 
 import "errors"

@@ -1,6 +1,6 @@
 // Package storetest is the shared conformance and crash-matrix suite for
-// stable.Store implementations. Every engine (MemStore, FileStore, the
-// WAL engine, and any future backend) runs the same battery:
+// stable.Store implementations. Every engine (MemStore, the WAL engine,
+// the replication wrapper, and any future backend) runs the same battery:
 //
 //   - Conformance: interface semantics — get/keys/apply, batch atomicity
 //     (property-based), value isolation, queue linearization over the

@@ -6,12 +6,19 @@
 // checkpoints persist the index so crash recovery replays only the log
 // tail written since the last checkpoint (bounded recovery).
 //
-// Durability contract matches stable.FileStore: Apply returns only after
-// the group holding the batch is on disk — in the OS page cache by
-// default (surviving process death), fsynced when Options.Sync is set
-// (surviving power loss). Group commit is preserved from the FileStore:
+// Durability: Apply returns only after the group holding the batch is on
+// disk — in the OS page cache by default (surviving process death),
+// fsynced when Options.Sync is set (surviving power loss). Group commit:
 // concurrent Apply callers coalesce into a single record append and a
-// single fsync.
+// single fsync, and every batch of a group shares its fate.
+//
+// I/O errors are fail-stop: the first failed segment write, fsync or
+// segment creation poisons the store, and every later Apply, Get and Keys
+// returns that error. A failed fsync leaves the page cache in
+// an unknown state, so retrying on the same handle could acknowledge
+// data that never reaches the disk; the only way forward is to Close the
+// store and reopen the directory, whose recovery re-reads what is
+// actually there.
 package wal
 
 import (
@@ -92,6 +99,9 @@ type Store struct {
 	segs   map[uint32]*segment
 	active *segment
 	closed bool
+	// failed is the first segment write, fsync or creation error. It is
+	// sticky: the store refuses all later Apply, Get and Keys calls.
+	failed error
 
 	// wmu serializes writers (group leader, compactor, rotation) so tail
 	// writes and their index publication happen in log order.
@@ -102,7 +112,7 @@ type Store struct {
 	ckptAppended  int64 // totalAppended at the last checkpoint
 	ckptMu        sync.Mutex
 
-	// Group commit (same leader/follower shape as stable.FileStore).
+	// Group commit: one leader appends every queued batch.
 	gmu    sync.Mutex
 	gcond  *sync.Cond
 	queue  []*applyWaiter
@@ -335,9 +345,9 @@ func (s *Store) createSegmentLocked(id uint32) error {
 func (s *Store) Get(key string) ([]byte, bool, error) {
 	for {
 		s.mu.RLock()
-		if s.closed {
+		if err := s.errLocked(); err != nil {
 			s.mu.RUnlock()
-			return nil, false, stable.ErrClosed
+			return nil, false, err
 		}
 		l, ok := s.index[key]
 		var f *os.File
@@ -362,9 +372,9 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 // Keys implements stable.Store.
 func (s *Store) Keys(prefix string) ([]string, error) {
 	s.mu.RLock()
-	if s.closed {
+	if err := s.errLocked(); err != nil {
 		s.mu.RUnlock()
-		return nil, stable.ErrClosed
+		return nil, err
 	}
 	keys := make([]string, 0, 16)
 	for k := range s.index {
@@ -477,12 +487,12 @@ func (s *Store) append(ops []stable.Op, rewrite bool, origLocs ...loc) error {
 	defer payloadPool.Put(rb)
 
 	s.mu.RLock()
-	closed := s.closed
+	unusable := s.errLocked()
 	active := s.active
 	base := active.size
 	s.mu.RUnlock()
-	if closed {
-		return stable.ErrClosed
+	if unusable != nil {
+		return unusable
 	}
 
 	// Rotate when the record does not fit (an oversized record still gets
@@ -498,11 +508,11 @@ func (s *Store) append(ops []stable.Op, rewrite bool, origLocs ...loc) error {
 	}
 
 	if _, err := active.f.WriteAt(rb.b, base); err != nil {
-		return fmt.Errorf("wal: append: %w", err)
+		return s.fail(fmt.Errorf("wal: append: %w", err))
 	}
 	if s.opts.Sync {
 		if err := timedSync(active.f.Sync, s.counters); err != nil {
-			return fmt.Errorf("wal: sync segment: %w", err)
+			return s.fail(fmt.Errorf("wal: sync segment: %w", err))
 		}
 	}
 
@@ -533,12 +543,15 @@ func (s *Store) append(ops []stable.Op, rewrite bool, origLocs ...loc) error {
 func (s *Store) rotate(active *segment) error {
 	if s.opts.Sync {
 		if err := timedSync(active.f.Sync, s.counters); err != nil {
-			return fmt.Errorf("wal: seal segment: %w", err)
+			return s.fail(fmt.Errorf("wal: seal segment: %w", err))
 		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.createSegmentLocked(active.id + 1); err != nil {
+		if s.failed == nil {
+			s.failed = err
+		}
 		return err
 	}
 	if s.counters != nil {
@@ -547,9 +560,29 @@ func (s *Store) rotate(active *segment) error {
 	return nil
 }
 
-// Close stops background maintenance and closes all segment files. Apply
-// is durable on return, so Close performs no extra flush; operations
-// after Close return stable.ErrClosed.
+// errLocked returns stable.ErrClosed after Close, else the sticky I/O
+// error (nil while the store is healthy). Caller holds mu.
+func (s *Store) errLocked() error {
+	if s.closed {
+		return stable.ErrClosed
+	}
+	return s.failed
+}
+
+// fail records err as the sticky I/O error unless an earlier one is
+// already stored, and returns err.
+func (s *Store) fail(err error) error {
+	s.mu.Lock()
+	if s.failed == nil {
+		s.failed = err
+	}
+	s.mu.Unlock()
+	return err
+}
+
+// Close stops background maintenance and closes all segment files, also
+// on a store that failed. Apply is durable on return, so Close performs
+// no extra flush; operations after Close return stable.ErrClosed.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -626,9 +659,9 @@ func (s *Store) Checkpoint() error {
 	defer s.ckptMu.Unlock()
 
 	s.mu.RLock()
-	if s.closed {
+	if err := s.errLocked(); err != nil {
 		s.mu.RUnlock()
-		return stable.ErrClosed
+		return err
 	}
 	pos := ckptPos{seg: s.active.id, off: s.active.size}
 	activeF := s.active.f
@@ -642,7 +675,7 @@ func (s *Store) Checkpoint() error {
 	// The checkpoint's position claims everything before it is durable;
 	// make it so even in no-Sync mode (rare call, bounded cost).
 	if err := timedSync(activeF.Sync, s.counters); err != nil {
-		return fmt.Errorf("wal: sync before checkpoint: %w", err)
+		return s.fail(fmt.Errorf("wal: sync before checkpoint: %w", err))
 	}
 	if err := writeCheckpoint(s.dir, pos, idx, s.counters); err != nil {
 		return err
@@ -698,9 +731,9 @@ func (s *Store) Compact() error {
 func (s *Store) compactSegment(seg *segment) error {
 	// Collect the keys currently homed in this segment.
 	s.mu.RLock()
-	if s.closed {
+	if err := s.errLocked(); err != nil {
 		s.mu.RUnlock()
-		return stable.ErrClosed
+		return err
 	}
 	var keys []string
 	var locs []loc

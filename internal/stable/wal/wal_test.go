@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -433,6 +434,92 @@ func TestBackgroundMaintenance(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		if _, ok, _ := s2.Get(fmt.Sprintf("k%d", i)); !ok {
 			t.Errorf("k%d missing after background maintenance", i)
+		}
+	}
+}
+
+// TestIOErrorIsSticky: the first failed segment write poisons the store.
+// Every caller of the failing group and every later call fails with that
+// error, even once the disk would take writes again; Close still releases
+// every handle, and a reopen recovers exactly the batches acknowledged
+// before the fault.
+func TestIOErrorIsSticky(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{NoBackground: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := s.Apply(stable.Put(fmt.Sprintf("k%d", i), []byte("v"))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	real := s.active.f
+	ro, err := os.Open(real.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+
+	// Concurrent committers hit the fault: whichever group runs first
+	// fails on the read-only handle, and the rest see its error.
+	const callers = 4
+	s.active.f = ro
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = s.Apply(stable.Put(fmt.Sprintf("lost%d", i), []byte("x")))
+		}(i)
+	}
+	wg.Wait()
+	s.active.f = real
+	first := errs[0]
+	if first == nil {
+		t.Fatal("append through a read-only handle succeeded")
+	}
+	for i, err := range errs {
+		if !errors.Is(err, first) {
+			t.Errorf("caller %d: %v, want the sticky %v", i, err, first)
+		}
+	}
+
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if err := s.Apply(stable.Put(fmt.Sprintf("after%d", i), []byte("y"))); !errors.Is(err, first) {
+				t.Errorf("Apply after the fault = %v, want the sticky error", err)
+			}
+			if _, _, err := s.Get("k0"); !errors.Is(err, first) {
+				t.Errorf("Get after the fault = %v, want the sticky error", err)
+			}
+			if _, err := s.Keys(""); !errors.Is(err, first) {
+				t.Errorf("Keys after the fault = %v, want the sticky error", err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close of a failed store: %v", err)
+	}
+	if _, err := real.Stat(); !errors.Is(err, os.ErrClosed) {
+		t.Errorf("segment handle still open after Close: %v", err)
+	}
+
+	r := openTest(t, dir, Options{})
+	keys, err := r.Keys("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"k0", "k1", "k2"}; !reflect.DeepEqual(keys, want) {
+		t.Errorf("recovered keys = %v, want %v", keys, want)
+	}
+	for _, k := range keys {
+		if v, ok, err := r.Get(k); err != nil || !ok || string(v) != "v" {
+			t.Errorf("%s = %q %v %v", k, v, ok, err)
 		}
 	}
 }
